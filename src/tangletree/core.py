@@ -102,7 +102,10 @@ def _as_order(v):
     # exact rationals only; floats would reintroduce tolerance questions
     if isinstance(v, float):
         raise InputError(f"order values must be int or Fraction, got float {v!r}")
-    f = Fraction(v)
+    try:
+        f = Fraction(v)
+    except (TypeError, ValueError, ZeroDivisionError):
+        raise InputError(f"order values must be int or Fraction, got {v!r}") from None
     if f < 0:
         raise InputError(f"order values must be non-negative, got {v!r}")
     return f

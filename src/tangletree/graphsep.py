@@ -52,8 +52,8 @@ class Graph:
     def index(self, v):
         try:
             return self._index[v]
-        except KeyError:
-            raise InputError(f"unknown vertex {v!r}")
+        except (KeyError, TypeError):  # TypeError: an unhashable name
+            raise InputError(f"unknown vertex {v!r}") from None
 
     def mask_of(self, vs):
         m = 0
@@ -206,78 +206,110 @@ def graph_separation_system(G: Graph, k, caps=DEFAULT_CAPS) -> SeparationSystem:
     return SeparationSystem(U, frozenset(members))
 
 
+def _bit_positions(m):
+    """Indices of the set bits of m, lowest first."""
+    while m:
+        b = m & -m
+        yield b.bit_length() - 1
+        m ^= b
+
+
+def _column(rows, bit):
+    """The bitset of the positions i at which rows[i] has the given bit."""
+    return int(
+        "".join(["1" if r >> bit & 1 else "0" for r in reversed(rows)]) or "0", 2
+    )
+
+
 def tk_star_family(G: Graph, k, S=None, caps=DEFAULT_CAPS) -> StarFamily:
     """Stars of up to three separations of order below k whose left
-    sides together cover all vertices and edges of G."""
+    sides together cover all vertices and edges of G.
+
+    Built from bitsets over the positions of S.oriented: has_a[v] holds
+    the members whose A side contains vertex v, in_b[v] those whose B
+    side does.  Members x and y form a star iff A_x lies in B_y and A_y
+    in B_x, an AND of in_b over A_x and of the complement of has_a over
+    V - B_x.  A pair leaves uncovered the vertices outside A_x + A_y and
+    the edges that lie in neither side; a third member must be a partner
+    of both and hold all of these vertices and the ends of these edges,
+    an AND of has_a over them.  So every bit that survives is a covering
+    star, and a pair that leaves nothing uncovered is one itself.
+    """
     if S is None:
         S = graph_separation_system(G, k, caps)
-    U = S.universe
     if k > G.n:
         raise InputError("covering stars need k at most the vertex count")
     elems = S.oriented
     n = len(elems)
-    pos = {x: i for i, x in enumerate(elems)}
-    edge_index = {e: i for i, e in enumerate(G.edges)}
-    full_v = G.full_mask
-    full_e = (1 << len(G.edges)) - 1
+    full = G.full_mask
+    adj = G.adj
+    everyone = (1 << n) - 1
+    a_sides = [x[0] for x in elems]
+    b_sides = [x[1] for x in elems]
+    has_a = [_column(a_sides, v) for v in range(G.n)]
+    not_a = [everyone ^ m for m in has_a]
+    in_b = [_column(b_sides, v) for v in range(G.n)]
+    live = everyone
+    for i, (a, b) in enumerate(elems):
+        if a == b:
+            live ^= 1 << i
 
-    vmask = [x[0] for x in elems]
-    emask = []
-    for x in elems:
-        em = 0
-        a = x[0]
-        for e, i in edge_index.items():
-            iu, iv = G.index(e[0]), G.index(e[1])
-            if a >> iu & 1 and a >> iv & 1:
-                em |= 1 << i
-        emask.append(em)
+    # partners_above[i]: the non-degenerate j > i with x_i <= x_j*
+    partners_above = []
+    for i, (a, b) in enumerate(elems):
+        m = live if live >> i & 1 else 0
+        for v in _bit_positions(a):
+            m &= in_b[v]
+        for v in _bit_positions(full & ~b):
+            m &= not_a[v]
+        partners_above.append(m >> (i + 1) << (i + 1))
 
-    degen = [x == U.invert(x) for x in elems]
-    partners = [0] * n
-    for i, x in enumerate(elems):
-        if degen[i]:
-            continue
-        for j in range(i + 1, n):
-            if degen[j]:
-                continue
-            if U.leq(x, U.invert(elems[j])):
-                partners[i] |= 1 << j
-                partners[j] |= 1 << i
-
-    stars = []
-
-    def covered(idxs):
-        v = 0
-        e = 0
-        for i in idxs:
-            v |= vmask[i]
-            e |= emask[i]
-        return v == full_v and e == full_e
-
-    for i in range(n):
-        if not degen[i] and covered((i,)):
-            stars.append(frozenset((elems[i],)))
-    for i in range(n):
-        if degen[i]:
-            continue
-        m = partners[i] >> (i + 1) << (i + 1)
+    stars = [
+        frozenset((elems[i],)) for i in _bit_positions(live) if a_sides[i] == full
+    ]
+    reach = {}  # A_x + A_y -> the vertices outside it and their neighbours
+    holding = {}  # vertex set -> the members whose A side holds all of it
+    for i, (x, pi) in enumerate(zip(elems, partners_above)):
+        ax, bx = x
+        # An edge that lies in neither side of a pair joins A_x - A_y to
+        # A_y - A_x.  Its end u in A_x has a neighbour outside A_x, so u
+        # is in the separator; list each such u with those neighbours.
+        leaving = [
+            (1 << u, adj[u] & ~ax)
+            for u in _bit_positions(ax & bx)
+            if adj[u] & ~ax
+        ]
+        m = pi
         while m:
             jbit = m & -m
-            m &= m - 1
+            m ^= jbit
             j = jbit.bit_length() - 1
-            if covered((i, j)):
-                stars.append(frozenset((elems[i], elems[j])))
-            mm = partners[i] & partners[j]
-            mm >>= j + 1
-            mm <<= j + 1
-            while mm:
-                lbit = mm & -mm
-                mm &= mm - 1
-                l = lbit.bit_length() - 1
-                if covered((i, j, l)):
-                    stars.append(frozenset((elems[i], elems[j], elems[l])))
-                if len(stars) > caps.max_results:
-                    raise ResourceCapError("covering-star family too large")
+            y = elems[j]
+            ay = y[0]
+            need = reach.get(ax | ay)
+            if need is None:
+                need = full & ~(ax | ay)
+                for v in _bit_positions(need):
+                    need |= adj[v]
+                reach[ax | ay] = need
+            for ubit, out in leaving:
+                if out & ay and not ubit & ay:
+                    need |= ubit | out & ay
+            if not need:
+                stars.append(frozenset((x, y)))
+            third = holding.get(need)
+            if third is None:
+                third = everyone
+                for v in _bit_positions(need):
+                    third &= has_a[v]
+                holding[need] = third
+            third &= pi & partners_above[j]
+            while third:
+                lbit = third & -third
+                third ^= lbit
+                stars.append(frozenset((x, y, elems[lbit.bit_length() - 1])))
+            if len(stars) > caps.max_results:
+                raise ResourceCapError("covering-star family too large")
 
     fam = StarFamily(S, stars, name=f"tk-star(k={k})")
     # closure under shifting is a theorem for this family, not re-checked

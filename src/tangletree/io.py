@@ -2,8 +2,10 @@
 
 JSON inputs carry a "type" tag: "table" for explicit-table universes,
 "bipartition" for set bipartitions, "graph" for graphs (which may also
-arrive as plain edge-list text, one "u v" per line).  All serialisers
-sort their output so equal objects produce equal bytes.
+arrive as plain edge-list text, one "u v" per line).  A family file is
+an object with a "stars" list; its tag "family" may be left out.  A
+malformed input raises InputError.  All serialisers sort their output
+so equal objects produce equal bytes.
 """
 
 import json
@@ -24,8 +26,12 @@ def parse_input(text):
             obj = json.loads(stripped)
         except json.JSONDecodeError as e:
             raise InputError(f"bad JSON: {e}")
-        if not isinstance(obj, dict) or "type" not in obj:
-            raise InputError('JSON input needs a "type" field')
+        if not isinstance(obj, dict):
+            raise InputError("JSON input must be an object")
+        if "type" not in obj:
+            if "stars" not in obj:
+                raise InputError('JSON input needs a "type" field')
+            obj["type"] = "family"
         return obj
     edges = []
     for ln, line in enumerate(stripped.splitlines(), 1):
@@ -47,42 +53,83 @@ def load_path(path):
         raise InputError(f"cannot read {path}: {e}")
 
 
+_REQUIRED = object()
+
+
+def _field(obj, name, kinds, default=_REQUIRED):
+    """obj[name], checked to be of one of the given JSON types."""
+    if name not in obj:
+        if default is _REQUIRED:
+            raise InputError(f'{obj.get("type")} input needs a "{name}" field')
+        return default
+    return _checked(obj[name], kinds, f'"{name}"')
+
+
+def _checked(value, kinds, what):
+    """value, checked to be of one of the given JSON types."""
+    if not isinstance(value, kinds) or isinstance(value, bool):
+        raise InputError(f"bad {what}: {value!r}")
+    return value
+
+
+def _pairs(values, kinds, what):
+    """The list values as 2-tuples of items of the given types."""
+    out = []
+    for p in values:
+        if not isinstance(p, (list, tuple)) or len(p) != 2:
+            raise InputError(f"bad {what}: {p!r}")
+        out.append(tuple(_checked(v, kinds, what) for v in p))
+    return out
+
+
 def load_graph(obj) -> Graph:
     if obj.get("type") != "graph":
         raise InputError("not a graph input")
-    edges = [tuple(e) for e in obj.get("edges", [])]
-    for e in edges:
-        if len(e) != 2:
-            raise InputError(f"bad edge {e!r}")
-    vertices = set(obj.get("vertices", []))
+    edges = _pairs(_field(obj, "edges", list, []), (str, int), "edge")
+    vertices = [
+        _checked(v, (str, int), "vertex")
+        for v in _field(obj, "vertices", list, [])
+    ]
     return Graph.from_edges(edges, isolated=vertices)
 
 
 def load_universe(obj):
     kind = obj.get("type")
     if kind == "table":
-        names = obj.get("elements")
+        names = _field(obj, "elements", (int, list))
         if isinstance(names, int):
             n, names = names, None
         else:
+            for v in names:
+                _checked(v, str, "element name")
             n = len(names)
+        involution = [
+            _checked(i, int, "involution entry")
+            for i in _field(obj, "involution", list)
+        ]
         return TablePoset(
             n,
-            obj["involution"],
-            [tuple(p) for p in obj["leq_pairs"]],
-            order=obj.get("order"),
+            involution,
+            _pairs(_field(obj, "leq_pairs", list), int, "leq pair"),
+            order=_field(obj, "order", list, None),
             names=names,
         )
     if kind == "bipartition":
-        ground = tuple(obj["ground_set"])
-        weights = obj.get("order_weights")
+        ground = tuple(
+            _checked(v, (str, int), "ground point")
+            for v in _field(obj, "ground_set", list)
+        )
+        weights = _field(obj, "order_weights", dict, None)
         if weights is None:
             return BipartitionUniverse(ground)
         idx = {name: i for i, name in enumerate(ground)}
         w = {}
         for key, val in weights.items():
-            u, v = key.split(",")
-            w[frozenset((idx[u.strip()], idx[v.strip()]))] = val
+            names = key.split(",")
+            ends = {idx.get(name.strip()) for name in names}
+            if len(names) != 2 or len(ends) != 2 or None in ends:
+                raise InputError(f"order weight {key!r} does not name two points")
+            w[frozenset(ends)] = _checked(val, int, f"order weight of {key!r}")
 
         def cut(mask):
             total = 0
@@ -99,13 +146,13 @@ def load_universe(obj):
 def element_from_json(U, item):
     """Decode one oriented separation in the universe's file encoding."""
     if isinstance(U, TablePoset):
-        if isinstance(item, str):
+        if isinstance(_checked(item, (str, int), "element"), str):
             return U.id_of(item)
         return item
     if isinstance(U, BipartitionUniverse):
-        return U.mask_of(item)
+        return U.mask_of(_checked(item, list, "separation side"))
     if isinstance(U, GraphUniverse):
-        a, b = item
+        a, b = _pairs([item], list, "separation")[0]
         return (U.graph.mask_of(a), U.graph.mask_of(b))
     raise InputError("universe has no file encoding")
 
@@ -121,9 +168,11 @@ def element_to_json(U, x):
 
 
 def load_system(obj, U) -> SeparationSystem:
-    spec = obj.get("separations", "all")
+    spec = _field(obj, "separations", (str, list), "all")
     if spec == "all":
         return SeparationSystem(U, frozenset(U.elements()))
+    if isinstance(spec, str):
+        raise InputError(f'"separations" must be "all" or a list, not {spec!r}')
     members = set()
     for item in spec:
         x = element_from_json(U, item)
@@ -137,7 +186,8 @@ def load_family(obj, S) -> StarFamily:
     if "stars" not in obj:
         raise InputError('family file needs a "stars" list')
     stars = []
-    for raw in obj["stars"]:
+    for raw in _field(obj, "stars", list):
+        _checked(raw, list, "star")
         stars.append(frozenset(element_from_json(S.universe, it) for it in raw))
     return StarFamily(S, stars, require_stars=False, name="file")
 

@@ -136,7 +136,8 @@ class StarFamily:
                     raise InputError(f"family member is not a star: {bad}")
             fam.add(sigma)
         self.stars = frozenset(fam)
-        self.stars_only = all(is_star(U, s) for s in self.stars)
+        # with require_stars every member has just passed star_violation
+        self.stars_only = require_stars or all(is_star(U, s) for s in self.stars)
         self.standard = None
         self.has_small_singletons = None
         self.profile_respecting = None
@@ -287,44 +288,62 @@ def enumerate_tangles(S, family=None, caps=DEFAULT_CAPS):
             mm ^= b
     remaining = [m.bit_count() for m in star_masks]
 
+    # Iterative DFS: stack[d] = [index of the next option to try at depth
+    # d, (position, saved forbidden mask) of the choice being explored].
     results = []
-    state = {"chosen": 0, "forbidden": 0, "visited": 0}
-
-    def dfs(d):
-        state["visited"] += 1
-        if state["visited"] > caps.max_states:
-            raise ResourceCapError(
-                f"enumeration exceeded {caps.max_states} search states"
-            )
-        if d == len(trial):
-            results.append(state["chosen"])
-            if len(results) > caps.max_results:
+    visited = 0
+    chosen = forbidden = 0
+    stack = []
+    descend = True
+    while True:
+        if descend:
+            visited += 1
+            if visited > caps.max_states:
                 raise ResourceCapError(
-                    f"more than {caps.max_results} results"
+                    f"enumeration exceeded {caps.max_states} search states"
                 )
-            return
-        for x in trial[d]:
-            p = pos[x]
-            if state["forbidden"] >> p & 1:
+            if len(stack) == len(trial):
+                results.append(chosen)
+                if len(results) > caps.max_results:
+                    raise ResourceCapError(
+                        f"more than {caps.max_results} results"
+                    )
+                if not stack:
+                    break
+            else:
+                stack.append([0, None])
+        frame = stack[-1]
+        if frame[1] is not None:  # the subtree below this choice is done
+            p, forbidden = frame[1]
+            chosen ^= 1 << p
+            for si in stars_at[p]:
+                remaining[si] += 1
+            frame[1] = None
+        descend = False
+        options = trial[len(stack) - 1]
+        while frame[0] < len(options):
+            p = pos[options[frame[0]]]
+            frame[0] += 1
+            if forbidden >> p & 1:
                 continue
             dead = False
-            touched = []
             for si in stars_at[p]:
                 remaining[si] -= 1
-                touched.append(si)
                 if remaining[si] == 0:
                     dead = True
-            if not dead:
-                saved = state["forbidden"]
-                state["chosen"] |= 1 << p
-                state["forbidden"] |= conflict[p]
-                dfs(d + 1)
-                state["chosen"] &= ~(1 << p)
-                state["forbidden"] = saved
-            for si in touched:
-                remaining[si] += 1
-
-    dfs(0)
+            if dead:
+                for si in stars_at[p]:
+                    remaining[si] += 1
+                continue
+            frame[1] = (p, forbidden)
+            chosen |= 1 << p
+            forbidden |= conflict[p]
+            descend = True
+            break
+        if not descend:
+            stack.pop()
+            if not stack:
+                break
     return _canonical_sorted(S, results)
 
 

@@ -239,3 +239,73 @@ def test_jobs_do_not_change_output(capsys, path4):
     _, out1, _ = run(capsys, "check", path4, "--k", "2", "--jobs", "1")
     _, out2, _ = run(capsys, "check", path4, "--k", "2", "--jobs", "4")
     assert out1 == out2
+
+
+# -- malformed inputs end as input errors --
+
+
+@pytest.mark.parametrize(
+    "obj",
+    [
+        {
+            "type": "bipartition",
+            "ground_set": ["a", "b"],
+            "order_weights": {"a,z": 1},
+        },
+        {"type": "table", "elements": ["x", "y"], "involution": [1, 0]},
+        {"type": "graph", "edges": [["a", "b"]], "vertices": [["a", "b"]]},
+    ],
+    ids=["unknown-weight-point", "table-without-leq-pairs", "list-vertex"],
+)
+def test_malformed_input_is_input_error(capsys, tmp_path, obj):
+    f = tmp_path / "bad.json"
+    f.write_text(json.dumps(obj))
+    code, _, err = run(capsys, "tangles", str(f), "--k", "1")
+    assert code == 2
+    assert err.startswith("input error:")
+
+
+def test_family_file_without_type_tag(capsys, tmp_path):
+    sysfile = tmp_path / "sys.json"
+    sysfile.write_text(
+        json.dumps(
+            {"type": "bipartition", "ground_set": ["a", "b", "c"], "separations": "all"}
+        )
+    )
+    stars = [[["a", "b", "c"]], [["a"], ["b"], ["c"]]]
+    untagged = tmp_path / "family.json"
+    untagged.write_text(json.dumps({"stars": stars}))
+    tagged = tmp_path / "tagged.json"
+    tagged.write_text(json.dumps({"type": "family", "stars": stars}))
+    outs = []
+    for fam in (untagged, tagged):
+        code, out, err = run(
+            capsys, "tangles", str(sysfile), "--family", f"file:{fam}",
+            "--format", "json",
+        )
+        assert code == 0, err
+        outs.append(out)
+    assert outs[0] == outs[1]
+    # {a}, {b}, {c} cover the ground set, so no orientation holding all
+    # three of them is a tangle; the point orientations remain
+    assert json.loads(outs[0])["count"] == 3
+
+
+# -- large systems --
+
+
+def test_duality_on_more_than_a_thousand_separations(capsys, tmp_path):
+    # seven triangles sharing one vertex: 1,066 separations of order < 3,
+    # more than the interpreter's default recursion limit, and no 3-tangle
+    f = tmp_path / "7xK3.txt"
+    f.write_text(
+        "".join(f"hub t{b}a\nhub t{b}b\nt{b}a t{b}b\n" for b in range(7))
+    )
+    code, out, err = run(
+        capsys, "duality", str(f), "--k", "3", "--max-seps", "2000",
+        "--format", "json",
+    )
+    assert code == 0, err
+    payload = json.loads(out)
+    assert payload["kind"] == "tree"
+    assert payload["tree"]["edges"]

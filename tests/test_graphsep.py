@@ -1,5 +1,9 @@
 """Graph separations: systems, covering stars, tangles, decompositions."""
 
+import random
+from dataclasses import replace
+from itertools import combinations
+
 import pytest
 
 from tangletree import canonical, duality, graphsep, orient, trees
@@ -158,6 +162,63 @@ def test_tk_star_family_is_standard(p3_graph):
     fam = graphsep.tk_star_family(p3_graph, 2, S, BIG_CAPS)
     report = orient.check_star_family(fam, caps=BIG_CAPS)
     assert report.standard
+
+
+def _literal_covering_stars(G, S):
+    """Every subset of S.oriented of size at most three that passes
+    star_violation and whose A sides cover all vertices and edges."""
+    U = S.universe
+    ends = [G.mask_of(e) for e in G.edges]
+    out = set()
+    for size in (1, 2, 3):
+        for sigma in combinations(S.oriented, size):
+            a = 0
+            for x in sigma:
+                a |= x[0]
+            if a != G.full_mask:
+                continue
+            if not all(any(x[0] & m == m for x in sigma) for m in ends):
+                continue
+            if orient.star_violation(U, sigma) is None:
+                out.add(frozenset(sigma))
+    return out
+
+
+def test_tk_star_family_matches_literal_oracle():
+    # seeded graphs on up to 7 vertices, isolated vertices and disconnected
+    # graphs included; systems above 40 oriented members are skipped, as
+    # the oracle scans every triple
+    rng = random.Random(2024)
+    tested = {1: 0, 2: 0, 3: 0}
+    isolated = disconnected = 0
+    for _ in range(60):
+        n = rng.randint(1, 7)
+        p = rng.choice((0.2, 0.4, 0.6, 0.9))
+        edges = [
+            (u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p
+        ]
+        G = graphsep.Graph(range(n), edges)
+        for k in range(1, min(3, n) + 1):
+            S = graphsep.graph_separation_system(G, k, BIG_CAPS)
+            if len(S.oriented) > 40:
+                continue
+            fam = graphsep.tk_star_family(G, k, S, BIG_CAPS)
+            assert fam.stars == _literal_covering_stars(G, S), (n, edges, k)
+            tested[k] += 1
+            isolated += 0 in G.adj
+            disconnected += not G.is_connected()
+    assert min(tested.values()) >= 10
+    assert isolated >= 10 and disconnected >= 10
+
+
+def test_tk_star_family_cap_is_exact(tripod):
+    G, S, fam = tripod
+    at_cap = replace(BIG_CAPS, max_results=len(fam))
+    assert graphsep.tk_star_family(G, 3, S, at_cap).stars == fam.stars
+    with pytest.raises(ResourceCapError):
+        graphsep.tk_star_family(
+            G, 3, S, replace(BIG_CAPS, max_results=len(fam) - 1)
+        )
 
 
 # -- tangles --

@@ -36,6 +36,12 @@ def test_parse_rejects_junk():
         io.parse_input('{"no": "type"}')
 
 
+def test_parse_family_without_type_tag(u4, s4):
+    obj = io.parse_input('{"stars": [[["a"], ["b"]]]}')
+    assert obj["type"] == "family"
+    assert len(io.load_family(obj, s4)) == 1
+
+
 def test_load_path_missing_file():
     with pytest.raises(InputError):
         io.load_path("/nonexistent/file.txt")
