@@ -5,7 +5,7 @@ and profiles, tangle-tree duality over star families, canonical nested
 sets distinguishing the tangles, and their refinement to honest trees.
 """
 
-from .config import Caps, DEFAULT_CAPS, RunConfig
+from .config import Caps, DEFAULT_CAPS
 from .core import (
     BipartitionUniverse,
     SeparationSystem,
@@ -79,7 +79,6 @@ __all__ = [
     "NestedSet",
     "RefineOutcome",
     "ResourceCapError",
-    "RunConfig",
     "STree",
     "SeparationSystem",
     "ShiftMap",

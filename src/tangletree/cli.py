@@ -8,6 +8,7 @@ violation, 2 input error, 3 resource cap.
 """
 
 import argparse
+import dataclasses
 import sys
 from concurrent.futures import ThreadPoolExecutor
 
@@ -23,16 +24,9 @@ from .errors import (
 
 
 def _caps(args):
-    base = Caps()
     if getattr(args, "max_seps", None):
-        return Caps(
-            max_unoriented=args.max_seps,
-            max_states=base.max_states,
-            max_tree_nodes=base.max_tree_nodes,
-            max_results=base.max_results,
-            full_shift_check_limit=base.full_shift_check_limit,
-        )
-    return base
+        return dataclasses.replace(Caps(), max_unoriented=args.max_seps)
+    return Caps()
 
 
 def _load(args, caps):

@@ -1,11 +1,11 @@
-"""Resource caps and run configuration.
+"""Resource caps.
 
 All enumeration routines take an optional Caps; the defaults are sized so
 that interactive use on small systems never trips them, while genuinely
 exponential blowups fail fast with ResourceCapError instead of hanging.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 
 @dataclass(frozen=True)
@@ -33,12 +33,3 @@ class Caps:
 
 DEFAULT_CAPS = Caps()
 
-
-@dataclass
-class RunConfig:
-    """CLI-level configuration shared by subcommands."""
-
-    jobs: int = 1
-    seed: int = 0
-    caps: Caps = field(default_factory=Caps)
-    verbose: bool = False

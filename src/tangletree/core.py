@@ -294,6 +294,11 @@ class BipartitionUniverse(Universe):
     Meet and join are intersection and union, so every lattice law holds
     by construction.  An optional order function maps masks to exact
     non-negative rationals and must be symmetric under complement.
+
+    The order function is called once per mask, at construction, and its
+    values are kept in a table that order() reads.  The table holds 2^n
+    entries for n ground points, so its memory doubles with every point
+    up to the 24-point cap.
     """
 
     def __init__(self, ground, order_fn=None):
@@ -306,15 +311,24 @@ class BipartitionUniverse(Universe):
             raise InputError("ground set larger than the 24-point cap")
         self.ground = ground
         self.full = (1 << len(ground)) - 1
-        self._order_fn = order_fn
         self.has_order = order_fn is not None
+        self._order = None
         if self.has_order:
-            for a in range(self.full + 1):
-                v = _as_order(order_fn(a))
-                if v != _as_order(order_fn(self.full ^ a)):
+            # Masks are visited as a, then its complement, for a ascending:
+            # the same first bad value and first asymmetric mask as checking
+            # every mask against its complement.  Equal values share one
+            # Fraction, so the table costs about a pointer per mask.
+            table = [None] * (self.full + 1)
+            values = {}
+            for a in range((self.full + 1) >> 1):
+                for m in (a, self.full ^ a):
+                    v = _as_order(order_fn(m))
+                    table[m] = values.setdefault(v, v)
+                if table[a] != table[self.full ^ a]:
                     raise InputError(
                         f"order not invariant under complement at mask {a:#x}"
                     )
+            self._order = table
 
     def invert(self, x):
         self.check_element(x)
@@ -334,10 +348,10 @@ class BipartitionUniverse(Universe):
         return x | y
 
     def order(self, x):
-        if self._order_fn is None:
+        if self._order is None:
             raise UnsupportedOperationError("bipartition universe has no order")
         self.check_element(x)
-        return _as_order(self._order_fn(x))
+        return self._order[x]
 
     def elements(self):
         return tuple(range(self.full + 1))
@@ -359,6 +373,20 @@ class BipartitionUniverse(Universe):
 
     def format_element(self, x):
         return "{" + ",".join(self.names_of(x)) + "}"
+
+
+def weighted_cut(weights):
+    """Order function of a weighted cut on ground-point indices.
+
+    weights maps index pairs (i, j) to ints; the order of a mask is the
+    total weight of the pairs it separates.  Zero weights are dropped.
+    """
+    terms = [((1 << i) | (1 << j), w) for (i, j), w in weights.items() if w != 0]
+
+    def cut(mask):
+        return sum(w for pair, w in terms if 0 != mask & pair != pair)
+
+    return cut
 
 
 @dataclass(frozen=True)
@@ -571,10 +599,6 @@ def order_submodularity_violation(universe, elems=None):
             if lhs > universe.order(r) + universe.order(s):
                 return (r, s)
     return None
-
-
-def check_order_submodular(universe, elems=None) -> bool:
-    return order_submodularity_violation(universe, elems) is None
 
 
 def verify_universe_laws(universe, elems=None):

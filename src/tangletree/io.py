@@ -10,7 +10,7 @@ so equal objects produce equal bytes.
 
 import json
 
-from .core import BipartitionUniverse, SeparationSystem, TablePoset
+from .core import BipartitionUniverse, SeparationSystem, TablePoset, weighted_cut
 from .errors import InputError
 from .graphsep import Graph, GraphUniverse
 from .orient import StarFamily
@@ -129,17 +129,8 @@ def load_universe(obj):
             ends = {idx.get(name.strip()) for name in names}
             if len(names) != 2 or len(ends) != 2 or None in ends:
                 raise InputError(f"order weight {key!r} does not name two points")
-            w[frozenset(ends)] = _checked(val, int, f"order weight of {key!r}")
-
-        def cut(mask):
-            total = 0
-            for pair, wij in w.items():
-                i, j = tuple(pair)
-                if (mask >> i & 1) != (mask >> j & 1):
-                    total += wij
-            return total
-
-        return BipartitionUniverse(ground, order_fn=cut)
+            w[tuple(sorted(ends))] = _checked(val, int, f"order weight of {key!r}")
+        return BipartitionUniverse(ground, order_fn=weighted_cut(w))
     raise InputError(f"unknown universe type {kind!r}")
 
 

@@ -26,6 +26,16 @@ def consistency_violation(S, O):
     elems = sorted(O, key=U.sort_key)
     for x in elems:
         S.check_member(x)
+    if len(elems) == len(S):
+        # As large as an orientation: test every member against the
+        # system's conflict table, worth its O(n^2) build at this size, and
+        # scan pairs below only to name the first witness.
+        pos, conflict = S.pos, S.conflict_bits
+        omask = 0
+        for x in elems:
+            omask |= 1 << pos[x]
+        if not any(conflict[pos[x]] & omask for x in elems):
+            return None
     for a, b in combinations(elems, 2):
         if b == U.invert(a):
             continue
@@ -272,7 +282,8 @@ def enumerate_tangles(S, family=None, caps=DEFAULT_CAPS):
     if family is not None:
         if family.system is not S and family.system.members != S.members:
             raise InputError("family is over a different system")
-        for sigma in family.stars_sorted:
+        # Countdown pruning does not depend on the order of the stars.
+        for sigma in family.stars:
             m = 0
             for x in sigma:
                 m |= 1 << pos[x]
@@ -407,29 +418,6 @@ def distinguishes_set(S, N, orientations) -> bool:
     return undistinguished_pair(S, N, orientations) is None
 
 
-def distinguishes_efficiently(S, s, P1, P2) -> bool:
-    """True iff s distinguishes P1, P2 and nothing of lower order does."""
-    U = S.universe
-    if not U.has_order:
-        from .errors import UnsupportedOperationError
-
-        raise UnsupportedOperationError("efficiency needs an order function")
-    if not distinguishes(S, s, P1, P2):
-        return False
-    k = U.order(s)
-    for t in S.separations:
-        if t == U.invert(t):
-            continue
-        if U.order(t) < k and distinguishes(S, t, P1, P2):
-            return False
-    return True
-
-
-def essential_star(S, sigma, orientations) -> bool:
-    sig = frozenset(sigma)
-    return any(sig <= frozenset(O) for O in orientations)
-
-
 def maximal_members(S, subset):
     """The leq-maximal elements of a subset of the system, sorted."""
     U = S.universe
@@ -450,18 +438,6 @@ class FamilyReport:
     has_small_singletons: bool
     profile_respecting: bool
     closed_under_shifting: object = None  # bool when known
-
-    @property
-    def friendly(self):
-        flags = (
-            self.standard,
-            self.has_small_singletons,
-            self.profile_respecting,
-            self.closed_under_shifting,
-        )
-        if any(f is None for f in flags):
-            return None
-        return all(flags)
 
 
 def check_star_family(

@@ -9,7 +9,12 @@ concrete backend.
 
 import random
 
-from .core import BipartitionUniverse, SeparationSystem, order_filtered_system
+from .core import (
+    BipartitionUniverse,
+    SeparationSystem,
+    order_filtered_system,
+    weighted_cut,
+)
 from .errors import InputError
 from .orient import StarFamily
 from . import duality
@@ -43,15 +48,7 @@ def cut_universe(rng: random.Random, points, max_weight=4):
     for i in range(n):
         for j in range(i + 1, n):
             w[(i, j)] = rng.randint(0, max_weight)
-
-    def cut(mask):
-        total = 0
-        for (i, j), wij in w.items():
-            if (mask >> i & 1) != (mask >> j & 1):
-                total += wij
-        return total
-
-    return BipartitionUniverse(pts, order_fn=cut)
+    return BipartitionUniverse(pts, order_fn=weighted_cut(w))
 
 
 def random_order_system(rng: random.Random, points, max_unoriented=10):
@@ -188,13 +185,6 @@ def swap_invariant_cut_universe(rng: random.Random, half, max_weight=3):
             else:
                 w[(i, j)] = rng.randint(0, max_weight)
 
-    def cut(mask):
-        total = 0
-        for (i, j), wij in w.items():
-            if (mask >> i & 1) != (mask >> j & 1):
-                total += wij
-        return total
-
     def perm(mask):
         out = 0
         for i in range(n):
@@ -202,4 +192,4 @@ def swap_invariant_cut_universe(rng: random.Random, half, max_weight=3):
                 out |= 1 << mate(i)
         return out
 
-    return BipartitionUniverse(pts, order_fn=cut), perm
+    return BipartitionUniverse(pts, order_fn=weighted_cut(w)), perm

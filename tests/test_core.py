@@ -72,6 +72,38 @@ def test_order_must_be_complement_invariant():
         BipartitionUniverse(["a", "b"], order_fn=lambda m: bin(m).count("1"))
 
 
+def test_order_function_called_once_per_mask():
+    calls = []
+
+    def order(mask):
+        calls.append(mask)
+        return mask.bit_count() * (5 - mask.bit_count())
+
+    U = BipartitionUniverse("abcde", order_fn=order)
+    assert sorted(calls) == list(range(32))
+    values = [U.order(x) for x in U.elements()]
+    assert len(order_filtered_system(U, 5)) == 6
+    assert len(calls) == 32
+    assert values == [m.bit_count() * (5 - m.bit_count()) for m in range(32)]
+
+
+@pytest.mark.parametrize(
+    "values, message",
+    [
+        # the mask 0 and its complement come first, so the float at the
+        # full mask is reported, not the one at mask 1
+        ({1: 0.5, 7: 2.5}, "order values must be int or Fraction, got float 2.5"),
+        ({6: -1, 2: -2}, "order values must be non-negative, got -1"),
+        ({3: "x", 1: "y"}, "order values must be int or Fraction, got 'y'"),
+        ({2: 1, 6: 2, 1: 3}, "order not invariant under complement at mask 0x1"),
+    ],
+)
+def test_bad_order_reported_at_first_mask(values, message):
+    with pytest.raises(InputError) as err:
+        BipartitionUniverse("abc", order_fn=lambda m: values.get(m, 0))
+    assert str(err.value) == message
+
+
 def test_cut_universe_order_is_submodular():
     rng = random.Random(7)
     for _ in range(20):

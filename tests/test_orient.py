@@ -5,17 +5,20 @@ bottom of this file and are frozen: 256 orientations, 12 consistent,
 4 profiles (one per ground point, all regular).
 """
 
+import copy
 import itertools
 import random
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, strategies as st
 
-from tangletree import orient, randomgen
+from tangletree import graphsep, orient, randomgen
 from tangletree.config import Caps
-from tangletree.errors import InputError
+from tangletree.core import SeparationSystem
+from tangletree.errors import InputError, ResourceCapError
 
-from conftest import away_from
+from conftest import BIG_CAPS, away_from
 
 
 def test_orientation_counts(s4):
@@ -172,3 +175,94 @@ def test_profiles_closed_under_corner_orientation(seed):
             j = U.join(r, s)
             if j in S.members:
                 assert U.invert(j) not in P
+
+
+def _pairwise_consistency_violation(S, O):
+    """The literal scan: first pair (a, b) of O, in sort order, on distinct
+    separations with invert(a) < b."""
+    U = S.universe
+    for a, b in itertools.combinations(sorted(O, key=U.sort_key), 2):
+        if b == U.invert(a):
+            continue
+        if U.lt(U.invert(a), b):
+            return (a, b)
+        if U.lt(U.invert(b), a):
+            return (b, a)
+    return None
+
+
+def _differential_systems():
+    rng = random.Random(11)
+    for n in (4, 5, 5, 6, 6, 7):
+        G = randomgen.random_connected_graph(rng, n, extra=rng.randint(0, 4))
+        for k in (1, 2, 3):
+            yield graphsep.graph_separation_system(G, k)
+    for _ in range(12):
+        yield randomgen.random_order_system(rng, "pqrst", max_unoriented=14)
+
+
+def test_consistency_matches_pairwise_scan():
+    rng = random.Random(5)
+    checked = {True: 0, False: 0}
+    for S in _differential_systems():
+        U = S.universe
+        consistent = orient.consistent_orientations(S, BIG_CAPS)
+        cases = rng.sample(consistent, min(6, len(consistent)))
+        cases += [
+            frozenset(rng.choice((s, U.invert(s))) for s in S.separations)
+            for _ in range(8)
+        ]
+        for O in list(cases):
+            members = sorted(O, key=U.sort_key)
+            cases.append(frozenset(rng.sample(members, rng.randint(0, len(members)))))
+        # as many members as an orientation, one separation taken both ways
+        for O in cases[:3]:
+            if len(O) > 1:
+                x, y = rng.sample(sorted(O, key=U.sort_key), 2)
+                cases.append(O - {y} | {U.invert(x)})
+        for O in cases:
+            want = _pairwise_consistency_violation(S, O)
+            assert orient.consistency_violation(S, O) == want
+            checked[want is None] += 1
+    assert checked[True] > 100 and checked[False] > 100
+
+
+def test_consistency_of_a_small_subset_builds_no_bit_table(tripod):
+    _, S, _ = tripod
+    fresh = SeparationSystem(S.universe, S.members)
+    few = frozenset(fresh.oriented[:5])
+    want = _pairwise_consistency_violation(fresh, few)
+    assert orient.consistency_violation(fresh, few) == want
+    assert "up_bits" not in fresh.__dict__
+
+
+def _visited_states(S, family, caps):
+    """The least max_states at which the search completes."""
+    lo, hi = 1, caps.max_states
+    while lo < hi:
+        mid = (lo + hi) // 2
+        try:
+            orient.enumerate_tangles(S, family, replace(caps, max_states=mid))
+            hi = mid
+        except ResourceCapError:
+            lo = mid + 1
+    return lo
+
+
+def test_tangle_search_ignores_star_order(tripod):
+    S5 = randomgen.random_order_system(random.Random(2), "pqrstu", max_unoriented=16)
+    rng = random.Random(8)
+    for S, fam in ((tripod[1], tripod[2]), (S5, orient.profile_star_family(S5))):
+        # enumerate_tangles reads the members in the order family.stars gives
+        shuffled = copy.copy(fam)
+        shuffled.stars = tuple(rng.sample(fam.stars_sorted, len(fam)))
+        want = orient.enumerate_tangles(S, fam, BIG_CAPS)
+        states = _visited_states(S, fam, BIG_CAPS)
+        exact = replace(BIG_CAPS, max_states=states)
+        assert want and orient.enumerate_tangles(S, shuffled, exact) == want
+        tight = replace(BIG_CAPS, max_states=states - 1)
+        with pytest.raises(ResourceCapError, match=f"exceeded {states - 1} search"):
+            orient.enumerate_tangles(S, shuffled, tight)
+        tight = replace(BIG_CAPS, max_results=len(want) - 1)
+        with pytest.raises(ResourceCapError, match=f"more than {len(want) - 1} results"):
+            orient.enumerate_tangles(S, shuffled, tight)
