@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 from .config import DEFAULT_CAPS
 from .errors import DomainError, InputError, IntegrityError
-from . import orient, refine, trees
+from . import duality, orient, refine, trees
 from .trees import NestedSet
 
 
@@ -46,16 +46,6 @@ def _checked_profiles(S, profiles):
     return sorted(plist, key=lambda P: _profile_key(U, P))
 
 
-def _checked_submodular(S):
-    pair = S.submodular_violation()
-    if pair is not None:
-        U = S.universe
-        raise InputError(
-            f"system is not submodular: {U.format_element(pair[0])}, "
-            f"{U.format_element(pair[1])}"
-        )
-
-
 @dataclass(frozen=True)
 class ExclusiveRecord:
     """One retired profile: its exclusive maxima and their infimum."""
@@ -85,7 +75,7 @@ def canonical_nested_set(S, profiles, caps=DEFAULT_CAPS) -> CanonicalResult:
     """
     U = S.universe
     plist = _checked_profiles(S, profiles)
-    _checked_submodular(S)
+    duality.preconditions(S)
 
     accumulated = set()
     records = []
@@ -250,7 +240,7 @@ def good_nested_set(S, profiles, caps=DEFAULT_CAPS) -> GoodResult:
     """
     U = S.universe
     plist = _checked_profiles(S, profiles)
-    _checked_submodular(S)
+    duality.preconditions(S)
 
     accumulated = set()
     records = []

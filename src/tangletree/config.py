@@ -21,7 +21,8 @@ class Caps:
     max_results: limit on collected results (tangles, orientations).
     full_shift_check_limit: largest |S| (unoriented) for which the
         closed-under-shifting verification is run exhaustively; above it
-        the check is skipped and reported as such.
+        the duality gate accepts only a family whose builder declared
+        closure (see duality.shift_verdict).
     """
 
     max_unoriented: int = 24

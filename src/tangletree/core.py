@@ -543,8 +543,13 @@ class SeparationSystem:
                     return (r, s)
         return None
 
+    @cached_property
+    def submodular_witness(self):
+        """submodular_violation(), run once per system."""
+        return self.submodular_violation()
+
     def is_submodular(self) -> bool:
-        return self.submodular_violation() is None
+        return self.submodular_witness is None
 
     def nestedness_violation(self, seps):
         """First crossing pair among the given unoriented separations."""

@@ -1,5 +1,5 @@
-"""Emulation, the shift map, closure under shifting, separability, and
-the tangle-vs-tree duality decision.
+"""Emulation, the shift map, closure under shifting, separability, the
+precondition gate, and the tangle-vs-tree duality decision.
 
 The duality search is a least-fixpoint computation: cover(x) holds when
 some family star containing x has all of its other members' inverses
@@ -20,17 +20,6 @@ from .errors import (
 from . import orient
 from .orient import StarFamily
 from .trees import STree, irredundant_reduction
-
-
-def ge_members(S, r):
-    """Oriented members of S_(>=r): an orientation of their separation
-    lies above r."""
-    U = S.universe
-    out = []
-    for x in S.oriented:
-        if U.leq(r, x) or U.leq(r, U.invert(x)):
-            out.append(x)
-    return tuple(out)
 
 
 def emulation_violation(S, s, r):
@@ -130,10 +119,6 @@ def emulation_for_family_violation(S, s, r, family):
     return None
 
 
-def emulates_for_family(S, s, r, family) -> bool:
-    return emulation_for_family_violation(S, s, r, family) is None
-
-
 def shifting_closure_violation(S, family):
     """First (s, r, star) with s emulating r but not for the family."""
     U = S.universe
@@ -151,9 +136,75 @@ def shifting_closure_violation(S, family):
 
 
 def check_closed_under_shifting(S, family) -> bool:
-    ok = shifting_closure_violation(S, family) is None
-    family.closed_under_shifting = ok if ok else False
-    return ok
+    return shifting_closure_violation(S, family) is None
+
+
+# -- the precondition gate --
+
+
+def shift_verdict(S, family, caps=DEFAULT_CAPS):
+    """How closure under shifting is known: "verified" or "violated" by
+    the exhaustive check, which runs when |S| <= caps.full_shift_check_limit
+    and at most once per family; above the limit "trusted" when the
+    family's builder declared closure, else "unknown"."""
+    if len(S) > caps.full_shift_check_limit:
+        return "trusted" if family.closed_under_shifting else "unknown"
+    facts = vars(family)  # kept on the family, never at module level
+    if "_shift_closed" not in facts:
+        facts["_shift_closed"] = check_closed_under_shifting(S, family)
+    return "verified" if facts["_shift_closed"] else "violated"
+
+
+def _require_stars(family):
+    if not family.stars_only:
+        raise InputError("the family must be made of stars")
+
+
+def preconditions(S, family=None, caps=DEFAULT_CAPS, regular=False):
+    """The one gate of duality, refinement and the canonical constructions.
+
+    Raises InputError naming the first failure among: the family is made
+    of stars, the system is submodular, every trivial member's inverse
+    singleton is in the family, with regular=True the same for every
+    small member (refinement needs these), and closure under shifting is
+    verified or trusted (see shift_verdict).  With no family only
+    submodularity is checked.  Each fact is computed on first use and
+    kept on the system or family it describes.
+    """
+    if family is not None:
+        if family.system is not S and family.system.members != S.members:
+            raise InputError("family is over a different system")
+        _require_stars(family)
+    U = S.universe
+    pair = S.submodular_witness
+    if pair is not None:
+        raise InputError(
+            f"system is not submodular: {U.format_element(pair[0])}, "
+            f"{U.format_element(pair[1])}"
+        )
+    if family is None:
+        return
+    x = family.missing_trivial_singleton
+    if x is not None:
+        raise InputError(
+            "family is not standard: no singleton for "
+            f"{U.format_element(U.invert(x))}"
+        )
+    x = family.missing_small_singleton if regular else None
+    if x is not None:
+        raise InputError(
+            "family lacks the regularity singleton for "
+            f"{U.format_element(U.invert(x))}"
+        )
+    verdict = shift_verdict(S, family, caps)
+    if verdict == "violated":
+        raise InputError("family is not closed under shifting")
+    if verdict == "unknown":
+        raise InputError(
+            f"closure under shifting is unknown: {len(S)} separations exceed "
+            f"full_shift_check_limit {caps.full_shift_check_limit} and the "
+            "family's builder did not declare it closed"
+        )
 
 
 def shift_stree(T: STree, r, s, family) -> STree:
@@ -286,35 +337,13 @@ def _tree_from_cover(S, family, stars, covered, roots, caps):
 def duality_decide(S, family: StarFamily, caps=DEFAULT_CAPS, verify=True) -> DualityResult:
     """Produce an F-tangle or an S-tree over F, never both claims.
 
-    With verify=True the preconditions of the duality theorem are checked
-    where affordable (submodularity always; closure under shifting unless
-    the family carries a trusted flag or the system is too large).
+    With verify=True the preconditions of the duality theorem pass
+    through the gate first (see preconditions).
     """
-    if not family.stars_only:
-        raise InputError("duality needs a family made of stars")
-    U = S.universe
     if verify:
-        pair = S.submodular_violation()
-        if pair is not None:
-            raise InputError(
-                f"system is not submodular: {U.format_element(pair[0])}, "
-                f"{U.format_element(pair[1])}"
-            )
-        for x in S.trivial_members():
-            if frozenset((U.invert(x),)) not in family.stars:
-                raise InputError("family is not standard (missing a trivial "
-                                 f"singleton for {U.format_element(x)})")
-        if family.closed_under_shifting is None:
-            if len(S) <= caps.full_shift_check_limit:
-                if not check_closed_under_shifting(S, family):
-                    raise InputError("family is not closed under shifting")
-            else:
-                raise InputError(
-                    "closure under shifting unknown and the system is too "
-                    "large to verify; set the family flag explicitly"
-                )
-        elif family.closed_under_shifting is False:
-            raise InputError("family is not closed under shifting")
+        preconditions(S, family, caps)
+    else:
+        _require_stars(family)
 
     tangles = orient.enumerate_tangles(S, family, caps)
     if tangles:

@@ -311,11 +311,11 @@ def tk_star_family(G: Graph, k, S=None, caps=DEFAULT_CAPS) -> StarFamily:
             if len(stars) > caps.max_results:
                 raise ResourceCapError("covering-star family too large")
 
-    fam = StarFamily(S, stars, name=f"tk-star(k={k})")
-    # closure under shifting is a theorem for this family, not re-checked
-    # here; small instances get re-verified in the test suite
-    fam.closed_under_shifting = True
-    return fam
+    # closure under shifting is a theorem for this family (Diestel & Oum);
+    # the duality gate still verifies it where the system is small enough
+    return StarFamily(
+        S, stars, name=f"tk-star(k={k})", closed_under_shifting=True
+    )
 
 
 def graph_tangles(G: Graph, k, family=None, caps=DEFAULT_CAPS):

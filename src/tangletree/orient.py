@@ -72,12 +72,6 @@ def orientation_violation(S, O):
     return None
 
 
-def validate_orientation(S, O):
-    v = orientation_violation(S, O)
-    if v is not None:
-        raise InputError(f"not an orientation of the system: {v}")
-
-
 def profile_violation(S, O):
     """None if O is a profile; else the offending pair.
 
@@ -128,12 +122,16 @@ class StarFamily:
 
     require_stars=False admits non-star members (the profile-triple
     builtin needs this); stars_only records what we actually got.
-    Check flags start unknown (None) and are filled by check routines.
+    closed_under_shifting is a builder's declaration, fixed at
+    construction, that the family is closed under shifting; the duality
+    gate trusts it only where the exhaustive check is out of reach.
     """
 
-    def __init__(self, system, stars, require_stars=True, name=None):
+    def __init__(self, system, stars, require_stars=True, name=None,
+                 closed_under_shifting=False):
         self.system = system
         self.name = name
+        self._closed_under_shifting = bool(closed_under_shifting)
         U = system.universe
         fam = set()
         for sigma in stars:
@@ -148,10 +146,33 @@ class StarFamily:
         self.stars = frozenset(fam)
         # with require_stars every member has just passed star_violation
         self.stars_only = require_stars or all(is_star(U, s) for s in self.stars)
-        self.standard = None
-        self.has_small_singletons = None
-        self.profile_respecting = None
-        self.closed_under_shifting = None
+
+    @property
+    def closed_under_shifting(self) -> bool:
+        return self._closed_under_shifting
+
+    def _lacks_inverse_singleton(self, x):
+        return frozenset((self.system.universe.invert(x),)) not in self.stars
+
+    @cached_property
+    def missing_trivial_singleton(self):
+        """First trivial member whose inverse singleton the family lacks
+        (a standard family has none), else None."""
+        S = self.system
+        return next(
+            (x for x in S.oriented
+             if self._lacks_inverse_singleton(x) and S.classify(x).trivial),
+            None,
+        )
+
+    @cached_property
+    def missing_small_singleton(self):
+        """First small member whose inverse singleton the family lacks,
+        else None."""
+        return next(
+            filter(self._lacks_inverse_singleton, self.system.small_members()),
+            None,
+        )
 
     def __iter__(self):
         return iter(self.stars_sorted)
@@ -176,14 +197,20 @@ class StarFamily:
         key = self.system.universe.sort_key
         return (len(sigma), tuple(sorted(key(x) for x in sigma)))
 
-    def extended(self, extra, require_stars=True, name=None):
-        """New family with the given subsets added."""
-        return StarFamily(
-            self.system,
-            list(self.stars) + [frozenset(s) for s in extra],
-            require_stars=require_stars,
+    def extended(self, extra, name=None):
+        """New family with the given stars added; only those are checked.
+
+        The base must be made of stars, and the result declares no
+        closure under shifting.
+        """
+        if not self.stars_only:
+            raise InputError("only a family of stars can be extended")
+        out = StarFamily(
+            self.system, (s for s in extra if frozenset(s) not in self.stars),
             name=name,
         )
+        out.stars |= self.stars
+        return out
 
 
 def f_tangle_violation(S, O, family):
@@ -414,10 +441,6 @@ def undistinguished_pair(S, N, orientations):
     return None
 
 
-def distinguishes_set(S, N, orientations) -> bool:
-    return undistinguished_pair(S, N, orientations) is None
-
-
 def maximal_members(S, subset):
     """The leq-maximal elements of a subset of the system, sorted."""
     U = S.universe
@@ -436,37 +459,19 @@ def maximal_members(S, subset):
 class FamilyReport:
     standard: bool
     has_small_singletons: bool
-    profile_respecting: bool
-    closed_under_shifting: object = None  # bool when known
+    closed_under_shifting: object = None  # a shift verdict when known
 
 
-def check_star_family(
-    family, S=None, closed_under_shifting=None, caps=DEFAULT_CAPS
-) -> FamilyReport:
-    """Standardness, regularity singletons, profile-respecting, friendly.
+def check_star_family(family, closed_under_shifting=None, caps=DEFAULT_CAPS) -> FamilyReport:
+    """Standardness and the regularity singletons, from the facts the
+    family keeps (see StarFamily.missing_trivial_singleton).
 
-    Closure under shifting is the duality module's job; pass its verdict
-    in (or leave None for an unknown-friendliness report).
+    Closure under shifting is the duality gate's job; pass its verdict in
+    (or leave None for an unknown one).  caps is accepted and unused: the
+    report runs no search.
     """
-    if S is None:
-        S = family.system
-    U = S.universe
-    standard = True
-    for x in S.trivial_members():
-        if frozenset((U.invert(x),)) not in family.stars:
-            standard = False
-            break
-    small_ok = True
-    for x in S.small_members():
-        if frozenset((U.invert(x),)) not in family.stars:
-            small_ok = False
-            break
-    tangles = enumerate_tangles(S, family, caps)
-    respecting = all(is_profile(S, O) for O in tangles)
-    report = FamilyReport(standard, small_ok, respecting, closed_under_shifting)
-    family.standard = standard
-    family.has_small_singletons = small_ok
-    family.profile_respecting = respecting
-    if closed_under_shifting is not None:
-        family.closed_under_shifting = closed_under_shifting
-    return report
+    return FamilyReport(
+        standard=family.missing_trivial_singleton is None,
+        has_small_singletons=family.missing_small_singleton is None,
+        closed_under_shifting=closed_under_shifting,
+    )

@@ -11,7 +11,6 @@ import random
 
 from .core import (
     BipartitionUniverse,
-    SeparationSystem,
     order_filtered_system,
     weighted_cut,
 )
@@ -72,32 +71,6 @@ def random_order_system(rng: random.Random, points, max_unoriented=10):
     return best
 
 
-def corner_closed_subsystem(rng: random.Random, U, seeds=3, cap=12):
-    """Random involution-closed subset closed under corner repair.
-
-    Returns None when the closure blows past the cap, so callers can
-    retry with fresh randomness.
-    """
-    full = list(range(1 << len(U.ground)))
-    members = {0, U.invert(0)}
-    for _ in range(seeds):
-        x = rng.choice(full)
-        members.add(x)
-        members.add(U.invert(x))
-    for _ in range(200):
-        S = SeparationSystem(U, frozenset(members))
-        bad = S.submodular_violation()
-        if bad is None:
-            return S
-        r, s = bad
-        c = U.meet(r, s)
-        members.add(c)
-        members.add(U.invert(c))
-        if len(members) > 2 * cap:
-            return None
-    return None
-
-
 def standard_star_base(S):
     """Trivial and regularity singletons: the least any family needs."""
     U = S.universe
@@ -141,8 +114,7 @@ def random_shift_closed_family(rng: random.Random, S, upsets=1, stars=1, repair_
     for _ in range(repair_limit):
         bad = duality.shifting_closure_violation(S, fam)
         if bad is None:
-            fam.closed_under_shifting = True
-            return fam
+            return StarFamily(S, fam.stars, closed_under_shifting=True)
         s, r, sigma = bad
         img = duality.ShiftMap(S, r, s).apply_star(sigma)
         fam_stars.add(img)

@@ -142,41 +142,6 @@ def _home_vertex(T: STree, O):
     raise IntegrityError("consistent orientation admits no sink in the tree")
 
 
-def _family_preconditions(S, family, caps):
-    U = S.universe
-    if not family.stars_only:
-        raise InputError("refinement needs a family made of stars")
-    pair = S.submodular_violation()
-    if pair is not None:
-        raise InputError(
-            f"system is not submodular: {U.format_element(pair[0])}, "
-            f"{U.format_element(pair[1])}"
-        )
-    for x in S.trivial_members():
-        if frozenset((U.invert(x),)) not in family.stars:
-            raise InputError(
-                f"family is not standard: no singleton for "
-                f"{U.format_element(U.invert(x))}"
-            )
-    for x in S.small_members():
-        if frozenset((U.invert(x),)) not in family.stars:
-            raise InputError(
-                f"family lacks the regularity singleton for "
-                f"{U.format_element(U.invert(x))}"
-            )
-    if family.closed_under_shifting is None:
-        if len(S) <= caps.full_shift_check_limit:
-            if not duality.check_closed_under_shifting(S, family):
-                raise InputError("family is not closed under shifting")
-        else:
-            raise InputError(
-                "closure under shifting unknown and the system is too large "
-                "to verify; set the family flag explicitly"
-            )
-    elif family.closed_under_shifting is False:
-        raise InputError("family is not closed under shifting")
-
-
 def refine_star(S, sigma, family, witnesses=None, tangles=None, caps=DEFAULT_CAPS, trace=None) -> STree:
     """An S-tree over family + inverse singletons of sigma, with every
     member of sigma among its leaf separations.
@@ -195,7 +160,7 @@ def refine_star(S, sigma, family, witnesses=None, tangles=None, caps=DEFAULT_CAP
     members = sorted(sigma, key=U.sort_key)
     if len({U.canon(x) for x in members}) != len(members):
         raise InputError("star members must orient distinct separations")
-    _family_preconditions(S, family, caps)
+    duality.preconditions(S, family, caps, regular=True)
 
     if tangles is None:
         tangles = orient.enumerate_tangles(S, family, caps)
@@ -226,7 +191,6 @@ def refine_star(S, sigma, family, witnesses=None, tangles=None, caps=DEFAULT_CAP
         if any(U.leq(i, x) for i in inverses)
     ]
     fbar = family.extended(extra, name="refine-extension")
-    fbar.closed_under_shifting = True
 
     res = duality.duality_decide(S, fbar, caps, verify=False)
     if res.kind != "tree":

@@ -79,17 +79,6 @@ class NestedSet:
     def is_treeset(self) -> bool:
         return self.treeset_violation() is None
 
-    def regular_violation(self):
-        """First member with comparable orientations (a small separation)."""
-        U = self.system.universe
-        for s in self.sorted_members:
-            if U.comparable(s, U.invert(s)):
-                return s
-        return None
-
-    def is_regular_treeset(self) -> bool:
-        return self.is_treeset() and self.regular_violation() is None
-
 
 def nodes_of(N: NestedSet, caps=DEFAULT_CAPS):
     """The splitting stars of a nested set, canonically sorted.
@@ -224,10 +213,6 @@ class STree:
         self.alpha = dict(alpha)
         self.adj = {v: frozenset(ns) for v, ns in adj.items()}
 
-    @classmethod
-    def single_vertex(cls, system):
-        return cls(system, 1, {})
-
     @cached_property
     def edges(self):
         return tuple(
@@ -252,32 +237,8 @@ class STree:
         out = {self.alpha[(x, next(iter(self.adj[x])))] for x in self.leaves()}
         return tuple(sorted(out, key=U.sort_key))
 
-    def side_vertices(self, u, v):
-        """Vertices on u's side once edge u-v is removed."""
-        seen = {u}
-        stack = [u]
-        while stack:
-            x = stack.pop()
-            for y in self.adj[x]:
-                if y == v and x == u:
-                    continue
-                if y not in seen:
-                    seen.add(y)
-                    stack.append(y)
-        seen.discard(v)
-        return frozenset(seen)
-
     def directed_edges(self):
         return tuple(sorted(self.alpha))
-
-    def edge_leq(self, e, f):
-        """Natural order on oriented tree edges: e points toward f."""
-        (a, b), (c, d) = e, f
-        if e == f:
-            return True
-        if (a, b) == (d, c):
-            return False
-        return self.side_vertices(a, b) <= self.side_vertices(c, d)
 
     def validate(self, family=None) -> StreeReport:
         U = self.system.universe
