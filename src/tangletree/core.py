@@ -492,6 +492,39 @@ class SeparationSystem:
         return tuple(m & ~(1 << i) for i, m in enumerate(self.up_bits))
 
     @cached_property
+    def down_bits(self):
+        """down_bits[j] has bit i set iff oriented[i] <= oriented[j]."""
+        rows = [0] * len(self.oriented)
+        for i, m in enumerate(self.up_bits):
+            while m:
+                b = m & -m
+                rows[b.bit_length() - 1] |= 1 << i
+                m ^= b
+        return tuple(rows)
+
+    @cached_property
+    def strict_down_bits(self):
+        return tuple(m & ~(1 << i) for i, m in enumerate(self.down_bits))
+
+    def join_row(self, i):
+        """(row, joinable) of oriented[i], built on first use and kept.
+
+        row[j] is the position of join(oriented[i], oriented[j]), or -1
+        when that join leaves the system; joinable has bit j set iff it
+        stays.
+        """
+        rows = vars(self).setdefault("_join_rows", {})
+        if i not in rows:
+            U, pos, s = self.universe, self.pos, self.oriented[i]
+            row = [pos.get(U.join(s, x), -1) for x in self.oriented]
+            joinable = 0
+            for j, p in enumerate(row):
+                if p >= 0:
+                    joinable |= 1 << j
+            rows[i] = (tuple(row), joinable)
+        return rows[i]
+
+    @cached_property
     def conflict_bits(self):
         """conflict_bits[i]: positions j whose joint choice is inconsistent.
 

@@ -119,19 +119,101 @@ def emulation_for_family_violation(S, s, r, family):
     return None
 
 
+def _shift_bits(S, si):
+    """Image bits of the shift onto oriented[si], indexed as the scan
+    indexes a star member at position x: x when the member lies above
+    the base (its join with the target), len(S.oriented) + x when it lies
+    below the base's inverse (the inverse of the target's join with the
+    member's inverse).  -1 marks a join that leaves the system; OR-ed into
+    an image it keeps the image negative, so it is never read as a bit.
+    """
+    row, _ = S.join_row(si)
+    inv = S.inv_pos
+    above = [1 << p if p >= 0 else -1 for p in row]
+    below = [1 << inv[row[ix]] if row[ix] >= 0 else -1 for ix in inv]
+    return above + below
+
+
 def shifting_closure_violation(S, family):
-    """First (s, r, star) with s emulating r but not for the family."""
-    U = S.universe
-    for r in S.oriented:
-        flags = S.classify(r)
-        if flags.degenerate or flags.trivial:
+    """First (s, r, sigma) with s emulating r in S but the shift of sigma
+    from r onto s not in the family; None when the family is closed
+    under shifting.
+
+    Witness order, that of the literal loop over emulates, ShiftMap and
+    star_in_shift_scope: bases r in S.oriented order, degenerate and
+    trivial ones skipped; for each r its emulators s in S.oriented order
+    (s = r is the identity shift, which cannot fail); for each (r, s) the
+    stars of family.stars_sorted that lie in the shift scope of r.  A
+    join that leaves the system inside the shift domain raises
+    IntegrityError, as ShiftMap.apply does.
+
+    The scan works on positions in S.oriented.  r is trivial iff
+    strict_up[r] meets strict_down[r*]; s >= r emulates r iff every
+    member of up[r] other than r* joins s inside S (the system's join
+    rows); a star, as a mask, is in scope iff it avoids r*, lies in
+    up[r] | down[r*] and meets up[r].  The shift onto s is a table of
+    image bits (_shift_bits) and membership a lookup in the set of star
+    masks.  A star's image depends on r only through which of its
+    members lie above r, so a star is coded by its member indexes into
+    that table, and each code is tested once per emulator: a code that
+    passed for s passes for every later base s emulates.
+    """
+    n = len(S.oriented)
+    pos, inv = S.pos, S.inv_pos
+    up, down = S.up_bits, S.down_bits
+    strict_up, strict_down = S.strict_up_bits, S.strict_down_bits
+    stars = family.stars_sorted
+    members = [sorted(pos[x] for x in sigma) for sigma in stars]
+    masks = [sum(1 << p for p in ps) for ps in members]
+    in_family = set(masks)
+    code_ids, codes = {}, []
+    tested = {}  # emulator position -> (_shift_bits, codes that passed)
+    for ri in range(n):
+        rbar = inv[ri]
+        if rbar == ri or strict_up[ri] & strict_down[rbar]:
             continue
-        for s in S.oriented:
-            if not U.leq(r, s) or not emulates(S, s, r):
+        upr = up[ri]
+        outside = ~(upr | down[rbar]) | 1 << rbar
+        scope = {}  # code id -> star index; a code names one star
+        for k, (m, ps) in enumerate(zip(masks, members)):
+            if m & outside or not m & upr:
                 continue
-            sigma = emulation_for_family_violation(S, s, r, family)
-            if sigma is not None:
-                return (s, r, sigma)
+            code = tuple(p if upr >> p & 1 else n + p for p in ps)
+            i = code_ids.get(code)
+            if i is None:
+                i = code_ids[code] = len(codes)
+                codes.append(code)
+            scope[i] = k
+        if not scope:
+            continue
+        scope_ids = frozenset(scope)
+        need = upr & ~(1 << rbar)
+        cand = upr & ~(1 << ri)
+        while cand:
+            b = cand & -cand
+            cand ^= b
+            si = b.bit_length() - 1
+            if need & ~S.join_row(si)[1]:
+                continue
+            if si not in tested:
+                tested[si] = (_shift_bits(S, si), set())
+            bits, done = tested[si]
+            new = scope_ids - done
+            failing = []  # (star index, image)
+            for i in new:
+                img = 0
+                for x in codes[i]:
+                    img |= bits[x]
+                if img not in in_family:
+                    failing.append((scope[i], img))
+            if failing:
+                k, img = min(failing)
+                if img < 0:
+                    raise IntegrityError(
+                        "shift image escaped the system despite emulation"
+                    )
+                return (S.oriented[si], S.oriented[ri], stars[k])
+            done |= new
     return None
 
 
