@@ -153,10 +153,7 @@ def shifting_closure_violation(S, family):
     rows); a star, as a mask, is in scope iff it avoids r*, lies in
     up[r] | down[r*] and meets up[r].  The shift onto s is a table of
     image bits (_shift_bits) and membership a lookup in the set of star
-    masks.  A star's image depends on r only through which of its
-    members lie above r, so a star is coded by its member indexes into
-    that table, and each code is tested once per emulator: a code that
-    passed for s passes for every later base s emulates.
+    masks.
     """
     n = len(S.oriented)
     pos, inv = S.pos, S.inv_pos
@@ -166,27 +163,20 @@ def shifting_closure_violation(S, family):
     members = [sorted(pos[x] for x in sigma) for sigma in stars]
     masks = [sum(1 << p for p in ps) for ps in members]
     in_family = set(masks)
-    code_ids, codes = {}, []
-    tested = {}  # emulator position -> (_shift_bits, codes that passed)
     for ri in range(n):
         rbar = inv[ri]
         if rbar == ri or strict_up[ri] & strict_down[rbar]:
             continue
         upr = up[ri]
         outside = ~(upr | down[rbar]) | 1 << rbar
-        scope = {}  # code id -> star index; a code names one star
-        for k, (m, ps) in enumerate(zip(masks, members)):
-            if m & outside or not m & upr:
-                continue
-            code = tuple(p if upr >> p & 1 else n + p for p in ps)
-            i = code_ids.get(code)
-            if i is None:
-                i = code_ids[code] = len(codes)
-                codes.append(code)
-            scope[i] = k
+        # Each in-scope star as its member indexes into _shift_bits.
+        scope = [
+            (k, [p if upr >> p & 1 else n + p for p in ps])
+            for k, (m, ps) in enumerate(zip(masks, members))
+            if not m & outside and m & upr
+        ]
         if not scope:
             continue
-        scope_ids = frozenset(scope)
         need = upr & ~(1 << rbar)
         cand = upr & ~(1 << ri)
         while cand:
@@ -195,25 +185,17 @@ def shifting_closure_violation(S, family):
             si = b.bit_length() - 1
             if need & ~S.join_row(si)[1]:
                 continue
-            if si not in tested:
-                tested[si] = (_shift_bits(S, si), set())
-            bits, done = tested[si]
-            new = scope_ids - done
-            failing = []  # (star index, image)
-            for i in new:
+            bits = _shift_bits(S, si)
+            for k, code in scope:
                 img = 0
-                for x in codes[i]:
+                for x in code:
                     img |= bits[x]
                 if img not in in_family:
-                    failing.append((scope[i], img))
-            if failing:
-                k, img = min(failing)
-                if img < 0:
-                    raise IntegrityError(
-                        "shift image escaped the system despite emulation"
-                    )
-                return (S.oriented[si], S.oriented[ri], stars[k])
-            done |= new
+                    if img < 0:
+                        raise IntegrityError(
+                            "shift image escaped the system despite emulation"
+                        )
+                    return (S.oriented[si], S.oriented[ri], stars[k])
     return None
 
 

@@ -11,7 +11,6 @@ import random
 
 from .core import (
     BipartitionUniverse,
-    SeparationSystem,
     order_filtered_system,
     weighted_cut,
 )
@@ -108,20 +107,16 @@ def random_shift_closed_family(rng: random.Random, S, upsets=1, stars=1, repair_
 
         if star_violation(U, pick) is None:
             fam_stars.add(pick)
-    # The repair runs on a copy of S: each step reuses the tables the
-    # verifier keeps on the copy, and they go with it instead of staying
-    # on every system a caller keeps.  Each step checks only the image.
-    work = SeparationSystem(U, S.members)
     try:
-        fam = StarFamily(work, fam_stars)
+        fam = StarFamily(S, fam_stars)
     except InputError:
         return None
     for _ in range(repair_limit):
-        bad = duality.shifting_closure_violation(work, fam)
+        bad = duality.shifting_closure_violation(S, fam)
         if bad is None:
             return StarFamily(S, fam.stars, closed_under_shifting=True)
         s, r, sigma = bad
-        img = duality.ShiftMap(work, r, s).apply_star(sigma)
+        img = duality.ShiftMap(S, r, s).apply_star(sigma)
         try:
             fam = fam.extended([img])
         except InputError:
