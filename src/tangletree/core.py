@@ -38,6 +38,12 @@ class Universe:
     def join(self, x, y):
         raise NotImplementedError
 
+    def joins(self, x, ys):
+        """[join(x, y) for y in ys].  Backends may skip the per-element
+        checks: callers pass members of a system, validated when it was
+        built."""
+        return [self.join(x, y) for y in ys]
+
     def order(self, x):
         raise UnsupportedOperationError("universe has no order function")
 
@@ -347,6 +353,9 @@ class BipartitionUniverse(Universe):
         self.check_element(y)
         return x | y
 
+    def joins(self, x, ys):
+        return [x | y for y in ys]
+
     def order(self, x):
         if self._order is None:
             raise UnsupportedOperationError("bipartition universe has no order")
@@ -387,6 +396,14 @@ def weighted_cut(weights):
         return sum(w for pair, w in terms if 0 != mask & pair != pair)
 
     return cut
+
+
+def bit_positions(m):
+    """Indices of the set bits of m, lowest first."""
+    while m:
+        b = m & -m
+        yield b.bit_length() - 1
+        m ^= b
 
 
 @dataclass(frozen=True)
@@ -541,38 +558,48 @@ class SeparationSystem:
 
     # -- predicates --
 
+    def _trivial_witnesses(self, i):
+        """Positions of the y with oriented[i] < y and oriented[i] < y*:
+        y lies strictly above x and strictly below x*."""
+        return self.strict_up_bits[i] & self.strict_down_bits[self.inv_pos[i]]
+
     def classify(self, x) -> SepFlags:
+        """Flags of x; the trivial witness is the first y in oriented
+        order with x < y and x < y*, canonically oriented."""
         self.check_member(x)
         U = self.universe
         xbar = U.invert(x)
-        degenerate = x == xbar
-        small = U.leq(x, xbar)
-        cosmall = U.leq(xbar, x)
-        trivial = False
+        above = self._trivial_witnesses(self.pos[x])
         witness = None
-        for y in self.oriented:
-            if U.lt(x, y) and U.lt(x, U.invert(y)):
-                trivial = True
-                witness = U.canon(y)
-                break
-        return SepFlags(degenerate, small, cosmall, trivial, witness)
+        if above:
+            witness = U.canon(self.oriented[(above & -above).bit_length() - 1])
+        return SepFlags(
+            x == xbar, U.leq(x, xbar), U.leq(xbar, x), bool(above), witness
+        )
 
     def trivial_members(self):
         """Oriented members that are trivial in the system, sorted."""
-        return tuple(x for x in self.oriented if self.classify(x).trivial)
+        return tuple(
+            x for i, x in enumerate(self.oriented) if self._trivial_witnesses(i)
+        )
 
     def small_members(self):
         U = self.universe
         return tuple(x for x in self.oriented if U.leq(x, U.invert(x)))
 
     def submodular_violation(self):
-        """First oriented pair with neither meet nor join in the system."""
+        """First oriented pair with neither meet nor join in the system.
+
+        Pairs (r, s) with r at or before s in oriented order; one batch
+        of joins per r, and a meet only where the join leaves S.
+        """
         U = self.universe
         mem = self.members
         elems = self.oriented
         for i, r in enumerate(elems):
-            for s in elems[i:]:
-                if U.join(r, s) not in mem and U.meet(r, s) not in mem:
+            tail = elems[i:]
+            for s, j in zip(tail, U.joins(r, tail)):
+                if j not in mem and U.meet(r, s) not in mem:
                     return (r, s)
         return None
 

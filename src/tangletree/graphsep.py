@@ -12,7 +12,7 @@ from itertools import combinations
 from .config import DEFAULT_CAPS
 from .errors import InputError, ResourceCapError
 from . import canonical, orient, trees
-from .core import SeparationSystem, Universe
+from .core import SeparationSystem, Universe, bit_positions
 from .orient import StarFamily
 
 
@@ -138,6 +138,10 @@ class GraphUniverse(Universe):
     def join(self, x, y):
         return (x[0] | y[0], x[1] & y[1])
 
+    def joins(self, x, ys):
+        a, b = x
+        return [(a | c, b & d) for c, d in ys]
+
     def order(self, x):
         return bin(x[0] & x[1]).count("1")
 
@@ -206,14 +210,6 @@ def graph_separation_system(G: Graph, k, caps=DEFAULT_CAPS) -> SeparationSystem:
     return SeparationSystem(U, frozenset(members))
 
 
-def _bit_positions(m):
-    """Indices of the set bits of m, lowest first."""
-    while m:
-        b = m & -m
-        yield b.bit_length() - 1
-        m ^= b
-
-
 def _column(rows, bit):
     """The bitset of the positions i at which rows[i] has the given bit."""
     return int(
@@ -258,14 +254,14 @@ def tk_star_family(G: Graph, k, S=None, caps=DEFAULT_CAPS) -> StarFamily:
     partners_above = []
     for i, (a, b) in enumerate(elems):
         m = live if live >> i & 1 else 0
-        for v in _bit_positions(a):
+        for v in bit_positions(a):
             m &= in_b[v]
-        for v in _bit_positions(full & ~b):
+        for v in bit_positions(full & ~b):
             m &= not_a[v]
         partners_above.append(m >> (i + 1) << (i + 1))
 
     stars = [
-        frozenset((elems[i],)) for i in _bit_positions(live) if a_sides[i] == full
+        frozenset((elems[i],)) for i in bit_positions(live) if a_sides[i] == full
     ]
     reach = {}  # A_x + A_y -> the vertices outside it and their neighbours
     holding = {}  # vertex set -> the members whose A side holds all of it
@@ -276,7 +272,7 @@ def tk_star_family(G: Graph, k, S=None, caps=DEFAULT_CAPS) -> StarFamily:
         # is in the separator; list each such u with those neighbours.
         leaving = [
             (1 << u, adj[u] & ~ax)
-            for u in _bit_positions(ax & bx)
+            for u in bit_positions(ax & bx)
             if adj[u] & ~ax
         ]
         m = pi
@@ -289,7 +285,7 @@ def tk_star_family(G: Graph, k, S=None, caps=DEFAULT_CAPS) -> StarFamily:
             need = reach.get(ax | ay)
             if need is None:
                 need = full & ~(ax | ay)
-                for v in _bit_positions(need):
+                for v in bit_positions(need):
                     need |= adj[v]
                 reach[ax | ay] = need
             for ubit, out in leaving:
@@ -300,7 +296,7 @@ def tk_star_family(G: Graph, k, S=None, caps=DEFAULT_CAPS) -> StarFamily:
             third = holding.get(need)
             if third is None:
                 third = everyone
-                for v in _bit_positions(need):
+                for v in bit_positions(need):
                     third &= has_a[v]
                 holding[need] = third
             third &= pi & partners_above[j]

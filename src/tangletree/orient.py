@@ -12,6 +12,7 @@ from functools import cached_property
 from itertools import combinations, product
 
 from .config import DEFAULT_CAPS
+from .core import bit_positions
 from .errors import InputError, ResourceCapError
 
 
@@ -77,16 +78,22 @@ def profile_violation(S, O):
 
     Returns either an inconsistent pair or a pair (r, s) of members whose
     co-join (r v s)* lies in O.  The r = s case matters only for
-    degenerate members, which can never sit in a profile.
+    degenerate members, which can never sit in a profile.  Pairs are
+    scanned with r at or before s in S.oriented order, one batch of
+    joins per r.
     """
     bad = consistency_violation(S, O)
     if bad is not None:
         return bad
     U = S.universe
-    elems = sorted(O, key=U.sort_key)
-    for i, r in enumerate(elems):
-        for s in elems[i:]:
-            if U.invert(U.join(r, s)) in O:
+    elems, pos, inv = S.oriented, S.pos, S.inv_pos
+    chosen = sorted(set(O), key=pos.__getitem__)
+    # (r v s)* lies in O iff the join is the inverse of a member of O
+    co = frozenset(elems[inv[pos[x]]] for x in chosen)
+    for i, r in enumerate(chosen):
+        tail = chosen[i:]
+        for s, j in zip(tail, U.joins(r, tail)):
+            if j in co:
                 return (r, s)
     return None
 
@@ -117,6 +124,16 @@ def is_star(U, sigma) -> bool:
     return star_violation(U, sigma) is None
 
 
+def _is_star_mask(S, m):
+    """is_star for a mask of positions in S.oriented: no degenerate
+    member, and the others all lie below each member's inverse."""
+    down, inv = S.down_bits, S.inv_pos
+    for i in bit_positions(m):
+        if inv[i] == i or m & ~(1 << i) & ~down[inv[i]]:
+            return False
+    return True
+
+
 class StarFamily:
     """A finite family of subsets of S-arrow, usually stars.
 
@@ -125,7 +142,14 @@ class StarFamily:
     closed_under_shifting is a builder's declaration, fixed at
     construction, that the family is closed under shifting; the duality
     gate trusts it only where the exhaustive check is out of reach.
+
+    from_masks builds a family from masks of positions in
+    system.oriented; it keeps the masks and builds the frozensets of
+    `stars` only on first use.  A family built from frozensets keeps no
+    masks.
     """
+
+    _masks = None
 
     def __init__(self, system, stars, require_stars=True, name=None,
                  closed_under_shifting=False):
@@ -146,6 +170,35 @@ class StarFamily:
         self.stars = frozenset(fam)
         # with require_stars every member has just passed star_violation
         self.stars_only = require_stars or all(is_star(U, s) for s in self.stars)
+
+    @classmethod
+    def from_masks(cls, system, masks, require_stars=True, name=None):
+        """The family whose members are the given masks of positions in
+        system.oriented.  A member that is not a star raises InputError
+        with star_violation's witness when require_stars is set."""
+        self = cls.__new__(cls)
+        self.system = system
+        self.name = name
+        self._closed_under_shifting = False
+        self._masks = frozenset(masks)
+        bad = next(
+            (m for m in self._masks if not _is_star_mask(system, m)), None
+        )
+        if bad is not None and require_stars:
+            raise InputError(
+                "family member is not a star: "
+                f"{star_violation(system.universe, self._star_of(bad))}"
+            )
+        self.stars_only = bad is None
+        return self
+
+    def _star_of(self, m):
+        elems = self.system.oriented
+        return frozenset(elems[i] for i in bit_positions(m))
+
+    @cached_property
+    def stars(self):
+        return frozenset(map(self._star_of, self._masks))
 
     @property
     def closed_under_shifting(self) -> bool:
@@ -178,7 +231,7 @@ class StarFamily:
         return iter(self.stars_sorted)
 
     def __len__(self):
-        return len(self.stars)
+        return len(self.stars if self._masks is None else self._masks)
 
     def __contains__(self, sigma):
         return frozenset(sigma) in self.stars
@@ -233,17 +286,18 @@ def profile_star_family(S) -> StarFamily:
     """All in-system triples {r, s, (r v s)*}; its tangles are the profiles.
 
     Triples whose co-join leaves the system are dropped: they can never be
-    contained in an orientation of S, so exclusion is unaffected.
+    contained in an orientation of S, so exclusion is unaffected.  Each
+    triple is a mask of positions in S.oriented.
     """
     U = S.universe
-    triples = set()
-    elems = S.oriented
+    elems, pos, inv = S.oriented, S.pos, S.inv_pos
+    masks = set()
     for i, r in enumerate(elems):
-        for s in elems[i:]:
-            c = U.invert(U.join(r, s))
-            if c in S.members:
-                triples.add(frozenset((r, s, c)))
-    return StarFamily(S, triples, require_stars=False, name="profiles")
+        bit = 1 << i
+        for j, p in enumerate(map(pos.get, U.joins(r, elems[i:])), i):
+            if p is not None:
+                masks.add(bit | 1 << j | 1 << inv[p])
+    return StarFamily.from_masks(S, masks, require_stars=False, name="profiles")
 
 
 # -- enumeration --
@@ -276,15 +330,7 @@ def _sep_trial_order(S):
 def _canonical_sorted(S, masks):
     U = S.universe
     elems = S.oriented
-    sets = []
-    for m in masks:
-        chosen = []
-        mm = m
-        while mm:
-            b = mm & -mm
-            chosen.append(elems[b.bit_length() - 1])
-            mm ^= b
-        sets.append(frozenset(chosen))
+    sets = [frozenset(elems[i] for i in bit_positions(m)) for m in masks]
     sets.sort(key=lambda fs: tuple(sorted(U.sort_key(x) for x in fs)))
     return tuple(sets)
 
@@ -310,11 +356,14 @@ def enumerate_tangles(S, family=None, caps=DEFAULT_CAPS):
         if family.system is not S and family.system.members != S.members:
             raise InputError("family is over a different system")
         # Countdown pruning does not depend on the order of the stars.
-        for sigma in family.stars:
-            m = 0
-            for x in sigma:
-                m |= 1 << pos[x]
-            star_masks.append(m)
+        if family._masks is not None and family.system.oriented == S.oriented:
+            star_masks = list(family._masks)
+        else:
+            for sigma in family.stars:
+                m = 0
+                for x in sigma:
+                    m |= 1 << pos[x]
+                star_masks.append(m)
         if any(m == 0 for m in star_masks):
             return ()  # empty star excludes everything
     stars_at = [[] for _ in range(len(S.oriented))]

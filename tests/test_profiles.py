@@ -1,0 +1,415 @@
+"""The profile layer over the index space: profile_violation, the profile
+triples, submodular_violation, classify and the star test on masks, each
+against the literal universe-oracle loop it replaced, witnesses included;
+star families built from masks against the same families built from
+frozensets; and the tables the layer must not keep."""
+
+import copy
+import itertools
+import random
+from dataclasses import replace
+
+import pytest
+
+from tangletree import canonical, graphsep, orient, randomgen
+from tangletree.core import (
+    BipartitionUniverse,
+    SepFlags,
+    SeparationSystem,
+    TablePoset,
+    order_filtered_system,
+)
+from tangletree.errors import InputError, ResourceCapError
+
+from conftest import BIG_CAPS, triangle_tripod_edges
+from test_gate import CASES, _loaded
+
+# -- the literal loops --
+
+
+def literal_profile_violation(S, O):
+    """Consistency first, then every pair (r, s), r at or before s in
+    sort_key order, whose co-join (r v s)* lies in O."""
+    bad = orient.consistency_violation(S, O)
+    if bad is not None:
+        return bad
+    U = S.universe
+    elems = sorted(O, key=U.sort_key)
+    for i, r in enumerate(elems):
+        for s in elems[i:]:
+            if U.invert(U.join(r, s)) in O:
+                return (r, s)
+    return None
+
+
+def literal_profile_triples(S):
+    U = S.universe
+    triples = set()
+    elems = S.oriented
+    for i, r in enumerate(elems):
+        for s in elems[i:]:
+            c = U.invert(U.join(r, s))
+            if c in S.members:
+                triples.add(frozenset((r, s, c)))
+    return triples
+
+
+def literal_submodular_violation(S):
+    U = S.universe
+    elems = S.oriented
+    for i, r in enumerate(elems):
+        for s in elems[i:]:
+            if U.join(r, s) not in S.members and U.meet(r, s) not in S.members:
+                return (r, s)
+    return None
+
+
+def literal_classify(S, x):
+    U = S.universe
+    xbar = U.invert(x)
+    for y in S.oriented:
+        if U.lt(x, y) and U.lt(x, U.invert(y)):
+            return SepFlags(x == xbar, U.leq(x, xbar), U.leq(xbar, x), True, U.canon(y))
+    return SepFlags(x == xbar, U.leq(x, xbar), U.leq(xbar, x), False, None)
+
+
+def _mask(S, sigma):
+    return sum(1 << S.pos[x] for x in set(sigma))
+
+
+def _star_of(S, m):
+    return frozenset(x for i, x in enumerate(S.oriented) if m >> i & 1)
+
+
+# -- seeded systems of three kinds --
+
+
+def _chain_product(lengths):
+    """Product of chains, ordered coordinatewise, each coordinate reversed
+    by the involution; the middle element is degenerate when every chain
+    has odd length."""
+    elems = list(itertools.product(*(range(n) for n in lengths)))
+    index = {e: i for i, e in enumerate(elems)}
+    inv = [index[tuple(n - 1 - c for n, c in zip(lengths, e))] for e in elems]
+    covers = []
+    for e in elems:
+        for d, n in enumerate(lengths):
+            if e[d] + 1 < n:
+                f = e[:d] + (e[d] + 1,) + e[d + 1:]
+                covers.append((index[e], index[f]))
+    return TablePoset(len(elems), inv, covers)
+
+
+def cut_systems():
+    for seed in range(12):
+        rng = random.Random(seed)
+        yield randomgen.random_order_system(rng, "pqrst"[: 4 + seed % 2], 12)
+    U = randomgen.cut_universe(random.Random(40), "pqrstu")
+    for k in (2, 4, 6):
+        yield order_filtered_system(U, k)
+
+
+def graph_systems():
+    for seed in range(6):
+        rng = random.Random(seed)
+        G = randomgen.random_connected_graph(rng, 4 + seed % 3, extra=seed % 3)
+        yield graphsep.graph_separation_system(G, 2 + seed % 2, BIG_CAPS)
+    # k above |V| lets the degenerate separation (V, V) in
+    P3 = graphsep.Graph.from_edges([("a", "b"), ("b", "c")])
+    yield graphsep.graph_separation_system(P3, 4, BIG_CAPS)
+    G = graphsep.Graph.from_edges(triangle_tripod_edges())
+    yield graphsep.graph_separation_system(G, 2, BIG_CAPS)
+
+
+def table_systems():
+    for lengths in ((3, 3), (2, 3), (3, 2, 2), (5,)):
+        U = _chain_product(lengths)
+        yield SeparationSystem(U, U.elements())
+        rng = random.Random(sum(lengths))
+        for _ in range(3):
+            picked = rng.sample(U.elements(), len(U.elements()) // 2)
+            yield SeparationSystem.from_unoriented(U, picked)
+
+
+def non_submodular_systems():
+    for case in CASES:
+        S, _ = _loaded(case)
+        if S.submodular_witness is not None:
+            yield S
+
+
+def all_systems():
+    yield from cut_systems()
+    yield from graph_systems()
+    yield from table_systems()
+    yield from non_submodular_systems()
+
+
+SYSTEMS = list(all_systems())
+
+
+def test_the_systems_cover_every_case():
+    assert any(x == S.universe.invert(x) for S in SYSTEMS for x in S.oriented)
+    assert any(literal_submodular_violation(S) is not None for S in SYSTEMS)
+    assert any(not isinstance(S.universe, BipartitionUniverse) for S in SYSTEMS)
+    kinds = {type(S.universe).__name__ for S in SYSTEMS}
+    assert kinds == {"BipartitionUniverse", "GraphUniverse", "TablePoset"}
+
+
+# -- each predicate against its loop --
+
+
+def _orientations(S):
+    """Every consistent orientation, each with one member flipped, and
+    with a degenerate member where S has one."""
+    U = S.universe
+    for O in orient.consistent_orientations(S, BIG_CAPS):
+        yield O
+        for x in sorted(O, key=U.sort_key)[:: max(1, len(O) // 3)]:
+            yield O - {x} | {U.invert(x)}
+    for x in S.oriented:
+        if x == U.invert(x):
+            yield frozenset(y for y in S.oriented if U.leq(y, x))
+            yield frozenset((x,))
+
+
+def test_profile_violation_matches_the_loop():
+    seen = {"profile": 0, "co-join": 0, "inconsistent": 0}
+    for S in SYSTEMS:
+        for O in _orientations(S):
+            want = literal_profile_violation(S, O)
+            assert orient.profile_violation(S, O) == want
+            if want is None:
+                seen["profile"] += 1
+            elif orient.consistency_violation(S, O) is None:
+                seen["co-join"] += 1
+            else:
+                seen["inconsistent"] += 1
+    assert min(seen.values()) >= 20, seen
+
+
+def test_profile_violation_names_a_degenerate_member():
+    U = _chain_product((3,))
+    S = SeparationSystem(U, U.elements())
+    assert orient.profile_violation(S, {1}) == literal_profile_violation(S, {1}) == (1, 1)
+
+
+def test_profile_violation_takes_lists_and_rejects_foreign_members(u4):
+    S = SeparationSystem.from_unoriented(u4, [u4.mask_of(["a"])])
+    O = [u4.mask_of(["a"])]
+    assert orient.profile_violation(S, O) == literal_profile_violation(S, O)
+    with pytest.raises(InputError):
+        orient.profile_violation(S, [u4.mask_of(["b"])])
+
+
+def test_profile_triples_match_the_loop():
+    for S in SYSTEMS:
+        fam = orient.profile_star_family(S)
+        want = literal_profile_triples(S)
+        assert fam.stars == want
+        assert len(fam) == len(want)
+        assert fam.stars_only == all(orient.is_star(S.universe, t) for t in want)
+
+
+def test_submodular_violation_matches_the_loop():
+    witnesses = 0
+    for S in SYSTEMS:
+        want = literal_submodular_violation(S)
+        assert S.submodular_violation() == want
+        witnesses += want is not None
+    assert witnesses >= 2
+
+
+def test_classify_matches_the_loop():
+    trivial = 0
+    for S in SYSTEMS:
+        for x in S.oriented:
+            want = literal_classify(S, x)
+            assert S.classify(x) == want
+            trivial += want.trivial
+        assert S.trivial_members() == tuple(
+            x for x in S.oriented if literal_classify(S, x).trivial
+        )
+    assert trivial >= 20
+
+
+def test_star_masks_match_star_violation():
+    for S in SYSTEMS:
+        U = S.universe
+        n = len(S.oriented)
+        rng = random.Random(n)
+        masks = {1 << i for i in range(n)}
+        masks |= {rng.getrandbits(n) & rng.getrandbits(n) for _ in range(60)}
+        masks |= {_mask(S, t) for t in literal_profile_triples(S)}
+        for m in masks:
+            assert orient._is_star_mask(S, m) == (
+                orient.star_violation(U, _star_of(S, m)) is None
+            )
+
+
+def test_a_non_star_mask_raises_with_the_witness_of_star_violation():
+    found = 0
+    for S in SYSTEMS:
+        U = S.universe
+        for t in sorted(literal_profile_triples(S), key=sorted)[:8]:
+            bad = orient.star_violation(U, t)
+            if bad is None:
+                continue
+            found += 1
+            with pytest.raises(InputError) as err:
+                orient.StarFamily.from_masks(S, [_mask(S, t)])
+            assert str(err.value) == f"family member is not a star: {bad}"
+            with pytest.raises(InputError) as old:
+                orient.StarFamily(S, [t])
+            assert str(old.value) == str(err.value)
+    assert found >= 20
+    U = _chain_product((3,))
+    S = SeparationSystem(U, U.elements())
+    with pytest.raises(InputError, match=r"\('degenerate', 1\)"):
+        orient.StarFamily.from_masks(S, [_mask(S, [1])])
+
+
+# -- one family from masks, one from the same frozensets --
+
+
+def _twins(S, stars, require_stars):
+    stars = list(stars)
+    by_masks = orient.StarFamily.from_masks(
+        S, [_mask(S, t) for t in stars], require_stars=require_stars
+    )
+    return by_masks, orient.StarFamily(S, stars, require_stars=require_stars)
+
+
+def _trip_point(S, fam, field, top):
+    """The least cap value for field at which the search completes."""
+    lo, hi = 0, top
+    while lo < hi:
+        mid = (lo + hi) // 2
+        try:
+            orient.enumerate_tangles(S, fam, replace(BIG_CAPS, **{field: mid}))
+            hi = mid
+        except ResourceCapError:
+            lo = mid + 1
+    return lo
+
+
+def _family_cases():
+    for S in SYSTEMS[::3]:
+        yield S, literal_profile_triples(S), False
+        yield S, randomgen.standard_star_base(S), True
+    G = graphsep.Graph.from_edges(triangle_tripod_edges())
+    S = graphsep.graph_separation_system(G, 2, BIG_CAPS)
+    yield S, graphsep.tk_star_family(G, 2, S, BIG_CAPS).stars, True
+
+
+def test_mask_and_frozenset_families_agree():
+    searched = refused = 0
+    for S, stars, require_stars in _family_cases():
+        try:
+            a, b = _twins(S, stars, require_stars)
+        except InputError as err:
+            # a degenerate member's regularity singleton is no star
+            with pytest.raises(InputError) as old:
+                orient.StarFamily(S, stars, require_stars=require_stars)
+            assert str(old.value) == str(err)
+            refused += 1
+            continue
+        assert a.stars == b.stars
+        assert a.stars_sorted == b.stars_sorted
+        assert len(a) == len(b)
+        assert a.stars_only == b.stars_only
+        assert a.missing_trivial_singleton == b.missing_trivial_singleton
+        assert a.missing_small_singleton == b.missing_small_singleton
+        for t in itertools.islice(b.stars_sorted, 5):
+            assert t in a and t in b
+        outside = frozenset(S.oriented)
+        assert (outside in a) == (outside in b)
+        assert ("no such member",) not in a
+        if a.stars_only:
+            extra = [frozenset((x,)) for x in S.oriented[:3]]
+            assert a.extended(extra).stars == b.extended(extra).stars
+        else:
+            for fam in (a, b):
+                with pytest.raises(InputError):
+                    fam.extended([])
+        tangles = orient.enumerate_tangles(S, b, BIG_CAPS)
+        assert orient.enumerate_tangles(S, a, BIG_CAPS) == tangles
+        states = _trip_point(S, b, "max_states", BIG_CAPS.max_states)
+        assert _trip_point(S, a, "max_states", states + 1) == states
+        if tangles:
+            searched += 1
+            assert _trip_point(S, a, "max_results", len(tangles)) == len(tangles)
+            assert _trip_point(S, b, "max_results", len(tangles)) == len(tangles)
+    assert searched >= 5 and refused >= 1
+
+
+def test_a_shuffled_copy_of_a_profile_family_searches_alike():
+    searched = 0
+    for S in SYSTEMS[::2]:
+        fam = orient.profile_star_family(S)
+        shuffled = copy.copy(fam)
+        shuffled._masks = None
+        stars = sorted(fam.stars, key=sorted)
+        random.Random(len(stars)).shuffle(stars)
+        shuffled.stars = tuple(stars)
+        tangles = orient.enumerate_tangles(S, fam, BIG_CAPS)
+        assert orient.enumerate_tangles(S, shuffled, BIG_CAPS) == tangles
+        states = _trip_point(S, fam, "max_states", BIG_CAPS.max_states)
+        assert _trip_point(S, shuffled, "max_states", states + 1) == states
+        searched += len(tangles) > 1
+    assert searched >= 5
+
+
+def test_missing_singletons_match_the_loop():
+    missing = 0
+    for S in SYSTEMS:
+        U = S.universe
+        base = randomgen.standard_star_base(S)
+        trivial = [x for x in S.oriented if literal_classify(S, x).trivial]
+        small = [x for x in S.oriented if U.leq(x, U.invert(x))]
+        for drop in trivial[:1] + small[-1:]:
+            stars = base - {frozenset((U.invert(drop),))}
+            want = (
+                next((x for x in trivial if frozenset((U.invert(x),)) not in stars), None),
+                next((x for x in small if frozenset((U.invert(x),)) not in stars), None),
+            )
+            for fam in _twins(S, stars, False):
+                assert (fam.missing_trivial_singleton, fam.missing_small_singleton) == want
+            missing += want != (None, None)
+    assert missing >= 20
+
+
+class _Reversed(BipartitionUniverse):
+    def sort_key(self, x):
+        return -x
+
+
+def test_masks_are_read_only_over_the_same_positions():
+    points = "pqrs"
+    S = SeparationSystem(BipartitionUniverse(points), range(16))
+    R = SeparationSystem(_Reversed(points), range(16))
+    assert S.members == R.members and S.oriented != R.oriented
+    fam = orient.profile_star_family(R)
+    want = orient.enumerate_tangles(S, orient.StarFamily(R, fam.stars, require_stars=False))
+    assert want and orient.enumerate_tangles(S, fam) == want
+
+
+# -- what the profile layer keeps --
+
+
+def test_the_profile_pipeline_keeps_no_frozensets_and_no_join_rows():
+    U = randomgen.cut_universe(random.Random(5), "pqrstu")
+    S = order_filtered_system(U, 5)
+    fam = orient.profile_star_family(S)
+    tangles = orient.enumerate_tangles(S, fam, BIG_CAPS)
+    assert len(tangles) >= 2 and len(fam) > 0
+    canonical.canonical_nested_set(S, tangles, BIG_CAPS)
+    canonical.good_nested_set(S, tangles, BIG_CAPS)
+    assert "stars" not in vars(fam)
+    assert "_join_rows" not in vars(S)
+
+
+def test_a_frozenset_family_keeps_no_masks(triangle_tripod):
+    _, S, fam = triangle_tripod
+    orient.enumerate_tangles(S, fam, BIG_CAPS)
+    assert fam._masks is None and "_masks" not in vars(fam)
