@@ -44,6 +44,24 @@ class Universe:
         built."""
         return [self.join(x, y) for y in ys]
 
+    def order_tables(self, elems):
+        """(up, down) over the sorted members elems of a system: up[i] has
+        bit j set iff elems[i] <= elems[j], and down[j] has bit i set iff
+        the same holds.  This default asks leq for every pair; backends
+        whose elements are sets build the rows from containment_rows."""
+        up = []
+        for x in elems:
+            m = 0
+            for j, y in enumerate(elems):
+                if self.leq(x, y):
+                    m |= 1 << j
+            up.append(m)
+        down = [0] * len(elems)
+        for i, m in enumerate(up):
+            for j in bit_positions(m):
+                down[j] |= 1 << i
+        return tuple(up), tuple(down)
+
     def order(self, x):
         raise UnsupportedOperationError("universe has no order function")
 
@@ -356,6 +374,10 @@ class BipartitionUniverse(Universe):
     def joins(self, x, ys):
         return [x | y for y in ys]
 
+    def order_tables(self, elems):
+        up, down = containment_rows(elems, len(self.ground))
+        return tuple(up), tuple(down)
+
     def order(self, x):
         if self._order is None:
             raise UnsupportedOperationError("bipartition universe has no order")
@@ -404,6 +426,35 @@ def bit_positions(m):
         b = m & -m
         yield b.bit_length() - 1
         m ^= b
+
+
+def bit_column(rows, bit):
+    """The bitset of the positions i at which rows[i] has the given bit."""
+    return int(
+        "".join(["1" if r >> bit & 1 else "0" for r in reversed(rows)]) or "0", 2
+    )
+
+
+def containment_rows(masks, width):
+    """(sup, sub) for a list of masks of width bits: sup[i] has bit j set
+    iff masks[i] is a subset of masks[j], and sub[j] has bit i set iff the
+    same holds.  sup[i] ANDs the columns of the bits in masks[i], sub[j]
+    the complements of the columns of the bits outside masks[j]: at most
+    width big-int ANDs per mask."""
+    everyone = (1 << len(masks)) - 1
+    full = (1 << width) - 1
+    col = [bit_column(masks, b) for b in range(width)]
+    not_col = [everyone ^ c for c in col]
+    sup, sub = [], []
+    for m in masks:
+        u = d = everyone
+        for b in bit_positions(m):
+            u &= col[b]
+        for b in bit_positions(full & ~m):
+            d &= not_col[b]
+        sup.append(u)
+        sub.append(d)
+    return sup, sub
 
 
 @dataclass(frozen=True)
@@ -490,19 +541,13 @@ class SeparationSystem:
         return tuple(self.pos[U.invert(x)] for x in self.oriented)
 
     @cached_property
+    def _order_tables(self):
+        return self.universe.order_tables(self.oriented)
+
+    @cached_property
     def up_bits(self):
         """up_bits[i] has bit j set iff oriented[i] <= oriented[j]."""
-        U = self.universe
-        elems = self.oriented
-        n = len(elems)
-        rows = []
-        for i in range(n):
-            m = 0
-            for j in range(n):
-                if U.leq(elems[i], elems[j]):
-                    m |= 1 << j
-            rows.append(m)
-        return tuple(rows)
+        return self._order_tables[0]
 
     @cached_property
     def strict_up_bits(self):
@@ -511,13 +556,7 @@ class SeparationSystem:
     @cached_property
     def down_bits(self):
         """down_bits[j] has bit i set iff oriented[i] <= oriented[j]."""
-        rows = [0] * len(self.oriented)
-        for i, m in enumerate(self.up_bits):
-            while m:
-                b = m & -m
-                rows[b.bit_length() - 1] |= 1 << i
-                m ^= b
-        return tuple(rows)
+        return self._order_tables[1]
 
     @cached_property
     def strict_down_bits(self):
@@ -621,15 +660,16 @@ class SeparationSystem:
 
     def restrict_nested(self, M):
         """Subsystem of members nested with every separation in M."""
-        U = self.universe
+        # x is nested with m iff it is comparable with m or with m*
+        up, down, pos, inv = self.up_bits, self.down_bits, self.pos, self.inv_pos
+        keep = (1 << len(self.oriented)) - 1
         for m in M:
             self.check_member(m)
-        sub = [
-            x
-            for x in self.oriented
-            if all(U.nested(x, m) for m in M)
-        ]
-        return SeparationSystem(self.universe, sub)
+            i = pos[m]
+            keep &= up[i] | down[i] | up[inv[i]] | down[inv[i]]
+        return SeparationSystem(
+            self.universe, [self.oriented[i] for i in bit_positions(keep)]
+        )
 
 
 def order_filtered_system(universe, k, within=None) -> SeparationSystem:

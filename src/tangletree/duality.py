@@ -363,9 +363,11 @@ def _cover_fixpoint(S, family):
     return stars, covered, roots
 
 
-def _tree_from_cover(S, family, stars, covered, roots, caps):
-    """Rebuild an S-tree over the family from cover certificates."""
-    root_si = min(roots, key=lambda si: family.star_key(stars[si]))
+def _tree_from_cover(S, stars, covered, roots, caps):
+    """Rebuild an S-tree over the family from cover certificates; stars
+    is family.stars_sorted, so the first root in star order is the
+    least index."""
+    root_si = min(roots)
     U = S.universe
     alpha = {}
     counter = [0]
@@ -419,7 +421,7 @@ def duality_decide(S, family: StarFamily, caps=DEFAULT_CAPS, verify=True) -> Dua
             "neither a tangle nor an S-tree exists; duality preconditions "
             "must have been violated"
         )
-    tree = _tree_from_cover(S, family, stars, covered, roots, caps)
+    tree = _tree_from_cover(S, stars, covered, roots, caps)
     tree = irredundant_reduction(tree, keep=(), family=family)
     rep = tree.validate(family)
     if rep.over_f is not True:

@@ -12,7 +12,13 @@ from itertools import combinations
 from .config import DEFAULT_CAPS
 from .errors import InputError, ResourceCapError
 from . import canonical, orient, trees
-from .core import SeparationSystem, Universe, bit_positions
+from .core import (
+    SeparationSystem,
+    Universe,
+    bit_column,
+    bit_positions,
+    containment_rows,
+)
 from .orient import StarFamily
 
 
@@ -142,6 +148,15 @@ class GraphUniverse(Universe):
         a, b = x
         return [(a | c, b & d) for c, d in ys]
 
+    def order_tables(self, elems):
+        n = self.graph.n
+        a_sup, a_sub = containment_rows([x[0] for x in elems], n)
+        b_sup, b_sub = containment_rows([x[1] for x in elems], n)
+        # x <= y iff A_x lies in A_y and B_y lies in B_x
+        up = tuple(map(int.__and__, a_sup, b_sub))
+        down = tuple(map(int.__and__, a_sub, b_sup))
+        return up, down
+
     def order(self, x):
         return bin(x[0] & x[1]).count("1")
 
@@ -192,8 +207,6 @@ def graph_separation_system(G: Graph, k, caps=DEFAULT_CAPS) -> SeparationSystem:
     """All separations of order below k, as one separation system."""
     if not isinstance(k, int) or k < 1:
         raise InputError("k must be a positive integer")
-    if G.n > 20:
-        raise ResourceCapError("separation enumeration capped at 20 vertices")
     U = GraphUniverse(G)
     members = set()
     for size in range(min(k, G.n + 1)):
@@ -208,13 +221,6 @@ def graph_separation_system(G: Graph, k, caps=DEFAULT_CAPS) -> SeparationSystem:
                         f"more than {caps.max_results} separations"
                     )
     return SeparationSystem(U, frozenset(members))
-
-
-def _column(rows, bit):
-    """The bitset of the positions i at which rows[i] has the given bit."""
-    return int(
-        "".join(["1" if r >> bit & 1 else "0" for r in reversed(rows)]) or "0", 2
-    )
 
 
 def tk_star_family(G: Graph, k, S=None, caps=DEFAULT_CAPS) -> StarFamily:
@@ -242,9 +248,9 @@ def tk_star_family(G: Graph, k, S=None, caps=DEFAULT_CAPS) -> StarFamily:
     everyone = (1 << n) - 1
     a_sides = [x[0] for x in elems]
     b_sides = [x[1] for x in elems]
-    has_a = [_column(a_sides, v) for v in range(G.n)]
+    has_a = [bit_column(a_sides, v) for v in range(G.n)]
     not_a = [everyone ^ m for m in has_a]
-    in_b = [_column(b_sides, v) for v in range(G.n)]
+    in_b = [bit_column(b_sides, v) for v in range(G.n)]
     live = everyone
     for i, (a, b) in enumerate(elems):
         if a == b:

@@ -134,6 +134,22 @@ def _is_star_mask(S, m):
     return True
 
 
+def star_order(S):
+    """Sort key for sets of members of S: the size, then the positions in
+    S.oriented ascending, packed into one int.  S.oriented is sorted by
+    the universe's sort_key, which tells members apart, so this is the
+    order of (len, sorted sort_keys)."""
+    pos, width = S.pos, len(S.oriented).bit_length()
+
+    def key(sigma):
+        k = len(sigma)
+        for p in sorted(map(pos.__getitem__, sigma)):
+            k = k << width | p
+        return k
+
+    return key
+
+
 class StarFamily:
     """A finite family of subsets of S-arrow, usually stars.
 
@@ -238,17 +254,10 @@ class StarFamily:
 
     @cached_property
     def stars_sorted(self):
-        key = self.system.universe.sort_key
-        return tuple(
-            sorted(
-                self.stars,
-                key=lambda s: (len(s), tuple(sorted(key(x) for x in s))),
-            )
-        )
+        return tuple(sorted(self.stars, key=star_order(self.system)))
 
     def star_key(self, sigma):
-        key = self.system.universe.sort_key
-        return (len(sigma), tuple(sorted(key(x) for x in sigma)))
+        return star_order(self.system)(sigma)
 
     def extended(self, extra, name=None):
         """New family with the given stars added; only those are checked.
@@ -328,11 +337,11 @@ def _sep_trial_order(S):
 
 
 def _canonical_sorted(S, masks):
-    U = S.universe
+    # full orientations all have one member per separation, so star_order
+    # sorts them by their sorted sort_keys alone
     elems = S.oriented
     sets = [frozenset(elems[i] for i in bit_positions(m)) for m in masks]
-    sets.sort(key=lambda fs: tuple(sorted(U.sort_key(x) for x in fs)))
-    return tuple(sets)
+    return tuple(sorted(sets, key=star_order(S)))
 
 
 def enumerate_tangles(S, family=None, caps=DEFAULT_CAPS):
@@ -491,14 +500,16 @@ def undistinguished_pair(S, N, orientations):
 
 
 def maximal_members(S, subset):
-    """The leq-maximal elements of a subset of the system, sorted."""
-    U = S.universe
-    elems = sorted(subset, key=U.sort_key)
-    out = []
-    for x in elems:
-        if not any(U.lt(x, y) for y in elems):
-            out.append(x)
-    return tuple(out)
+    """The leq-maximal elements of a subset of the system, sorted: those
+    with no other member of the subset strictly above them."""
+    pos, strict_up = S.pos, S.strict_up_bits
+    mask = 0
+    for x in subset:
+        S.check_member(x)
+        mask |= 1 << pos[x]
+    return tuple(
+        S.oriented[i] for i in bit_positions(mask) if not strict_up[i] & mask
+    )
 
 
 # -- family-level report --

@@ -36,12 +36,6 @@ def closely_related(S, s, P) -> bool:
     return closely_related_violation(S, s, P) is None
 
 
-def maximal_in(S, P):
-    """The maximal elements of an orientation; for profiles these are
-    always closely related to it."""
-    return orient.maximal_members(S, P)
-
-
 def good(S, s, profiles) -> bool:
     """True iff the orientations of s are closely related to two
     distinct profiles from the collection."""

@@ -103,10 +103,7 @@ def nodes_of(N: NestedSet, caps=DEFAULT_CAPS):
         if orient.star_violation(U, sigma) is not None:
             raise IntegrityError(f"node is not a star: {sigma}")
         nodes.add(sigma)
-    key = U.sort_key
-    return tuple(
-        sorted(nodes, key=lambda s: (len(s), tuple(sorted(key(x) for x in s))))
-    )
+    return tuple(sorted(nodes, key=orient.star_order(sub)))
 
 
 def lives_at(S, O, N: NestedSet):

@@ -252,7 +252,7 @@ def _maximal_closeness_suite():
             continue
         fam = orient.profile_star_family(S)
         for P in orient.enumerate_tangles(S, fam, CAPS):
-            for m in refine.maximal_in(S, P):
+            for m in orient.maximal_members(S, P):
                 assert refine.closely_related(S, m, P)
                 checks += 1
     return checks
@@ -270,7 +270,7 @@ def _inheritance_suite():
         U = S.universe
         fam = orient.profile_star_family(S)
         for P in orient.enumerate_tangles(S, fam, CAPS):
-            for s in refine.maximal_in(S, P):
+            for s in orient.maximal_members(S, P):
                 for r in P:
                     if not U.leq(r, s):
                         continue
@@ -295,7 +295,7 @@ def _guarded_inf_suite():
             continue
         fam = orient.profile_star_family(S)
         for P in orient.enumerate_tangles(S, fam, CAPS):
-            maxima = refine.maximal_in(S, P)
+            maxima = orient.maximal_members(S, P)
             if not maxima:
                 continue
             ws = [refine.CloseWitness(x, P) for x in maxima[1:]]

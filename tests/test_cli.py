@@ -1,6 +1,7 @@
 """End-to-end command-line runs, in process."""
 
 import json
+from itertools import combinations
 
 import pytest
 
@@ -309,3 +310,22 @@ def test_duality_on_more_than_a_thousand_separations(capsys, tmp_path):
     payload = json.loads(out)
     assert payload["kind"] == "tree"
     assert payload["tree"]["edges"]
+
+
+def test_tree_of_tangles_past_twenty_vertices(capsys, tmp_path):
+    # five K5 sharing one vertex: 21 vertices, 547 separations of order
+    # < 3, and one 3-tangle per K5
+    blocks = [["hub"] + [f"k{b}v{i}" for i in range(4)] for b in range(5)]
+    f = tmp_path / "5xK5.txt"
+    f.write_text(
+        "".join(f"{u} {v}\n" for blk in blocks for u, v in combinations(blk, 2))
+    )
+    code, out, err = run(
+        capsys, "tree-of-tangles", str(f), "--k", "3", "--max-seps", "2000",
+        "--refine", "--format", "json",
+    )
+    assert code == 0, err
+    payload = json.loads(out)
+    assert payload["tangles"] == 5
+    parts = payload["decomposition"]["parts"]
+    assert all(blk in parts for blk in blocks)

@@ -54,7 +54,7 @@ def test_profile_maxima_are_closely_related():
             continue
         fam = orient.profile_star_family(S)
         for P in orient.enumerate_tangles(S, fam, BIG_CAPS):
-            for m in refine.maximal_in(S, P):
+            for m in orient.maximal_members(S, P):
                 assert refine.closely_related(S, m, P)
 
 
