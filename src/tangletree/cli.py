@@ -106,7 +106,7 @@ def cmd_check(args):
             ("order-submodular", w is not None and "order fails submodularity")
         )
     if fam is not None:
-        checks.append(("family-nonempty", not fam.stars and "empty family"))
+        checks.append(("family-nonempty", len(fam) == 0 and "empty family"))
         w = fam.missing_trivial_singleton
         checks.append(("family-standard", w is not None and "missing singleton"))
         checks.append(

@@ -12,6 +12,7 @@ to promise that one of the two branches must materialise.
 from dataclasses import dataclass
 
 from .config import DEFAULT_CAPS
+from .core import bit_positions
 from .errors import (
     InputError,
     IntegrityError,
@@ -111,10 +112,10 @@ def emulation_for_family_violation(S, s, r, family):
     if bad is not None:
         raise InputError(f"emulation precondition fails: {bad}")
     shift = ShiftMap(S, r, s)
-    for sigma in family.stars_sorted:
+    for sigma in family:
         if not star_in_shift_scope(S, sigma, r):
             continue
-        if shift.apply_star(sigma) not in family.stars:
+        if shift.apply_star(sigma) not in family:
             return sigma
     return None
 
@@ -143,7 +144,7 @@ def shifting_closure_violation(S, family):
     star_in_shift_scope: bases r in S.oriented order, degenerate and
     trivial ones skipped; for each r its emulators s in S.oriented order
     (s = r is the identity shift, which cannot fail); for each (r, s) the
-    stars of family.stars_sorted that lie in the shift scope of r.  A
+    stars of the family, in star order, that lie in the shift scope of r.  A
     join that leaves the system inside the shift domain raises
     IntegrityError, as ShiftMap.apply does.
 
@@ -159,9 +160,8 @@ def shifting_closure_violation(S, family):
     pos, inv = S.pos, S.inv_pos
     up, down = S.up_bits, S.down_bits
     strict_up, strict_down = S.strict_up_bits, S.strict_down_bits
-    stars = family.stars_sorted
-    members = [sorted(pos[x] for x in sigma) for sigma in stars]
-    masks = [sum(1 << p for p in ps) for ps in members]
+    masks = family.masks_over(S)
+    members = [list(bit_positions(m)) for m in masks]
     in_family = set(masks)
     for ri in range(n):
         rbar = inv[ri]
@@ -195,7 +195,8 @@ def shifting_closure_violation(S, family):
                         raise IntegrityError(
                             "shift image escaped the system despite emulation"
                         )
-                    return (S.oriented[si], S.oriented[ri], stars[k])
+                    star = frozenset(S.oriented[p] for p in members[k])
+                    return (S.oriented[si], S.oriented[ri], star)
     return None
 
 
@@ -315,60 +316,82 @@ class DualityResult:
 
 
 def _cover_fixpoint(S, family):
-    """Least fixpoint of the cover relation; returns (covered info, roots).
+    """Least fixpoint of the cover relation over positions in S.oriented.
 
-    covered maps an oriented id to (witness star, time); roots is the set
-    of stars whose members' inverses are all covered.
+    Returns (masks, covered, roots): masks is the family in star order as
+    masks of positions in S.oriented; covered[p] is (index of the witness
+    star, time) once the member at position p is covered, else None;
+    roots is the set of indexes of the stars whose members' inverses are
+    all covered.  A star whose inverses are all covered covers its own
+    uncovered members in the order in which family.star iterates them.
     """
-    U = S.universe
-    stars = family.stars_sorted
-    by_member = {}
-    for si, sigma in enumerate(stars):
-        for x in sigma:
-            by_member.setdefault(x, []).append(si)
-    need = [len(sigma) for sigma in stars]
-    covered = {}
+    masks = family.masks_over(S)
+    pos, inv = S.pos, S.inv_pos
+    at = [[] for _ in S.oriented]  # at[p]: the stars holding position p
+    for si, m in enumerate(masks):
+        while m:
+            b = m & -m
+            at[b.bit_length() - 1].append(si)
+            m ^= b
+    # need[si]: the members of star si whose inverse is not yet popped
+    need = [m.bit_count() for m in masks]
+    covered = [None] * len(S.oriented)
     queue = []
     roots = set()
-    clock = [0]
+    # the positions not yet covered, and those whose stars have not yet
+    # counted them down, as bits
+    uncovered = unpopped = (1 << len(S.oriented)) - 1
 
-    def fire(x, si):
-        if x in covered:
-            return
-        covered[x] = (si, clock[0])
-        clock[0] += 1
-        queue.append(x)
+    def cover(si, left):
+        """Cover the positions in left from star si, two or more in the
+        order in which family.star(si) iterates them."""
+        nonlocal uncovered
+        uncovered ^= left
+        if left & (left - 1):
+            order = [p for p in map(pos.__getitem__, family.star(si))
+                     if left >> p & 1]
+        else:
+            order = (left.bit_length() - 1,)
+        for p in order:
+            covered[p] = (si, len(queue))
+            queue.append(p)
 
-    def examine(si):
-        sigma = stars[si]
-        if need[si] == 0:
+    # masks come by size: the empty star and the singletons first
+    for si, m in enumerate(masks):
+        if m & (m - 1):
+            break
+        if not m:
             roots.add(si)
-            for x in sigma:
-                fire(x, si)
-        elif need[si] == 1:
-            for x in sigma:
-                if U.invert(x) not in covered:
-                    fire(x, si)
-                    break
-
-    for si in range(len(stars)):
-        examine(si)
+        elif m & uncovered and covered[inv[m.bit_length() - 1]] is None:
+            cover(si, m)
     head = 0
     while head < len(queue):
-        y = queue[head]
+        q = inv[queue[head]]
         head += 1
-        for si in by_member.get(U.invert(y), ()):
-            need[si] -= 1
-            examine(si)
-    return stars, covered, roots
+        unpopped ^= 1 << q
+        for si in at[q]:
+            k = need[si] - 1
+            need[si] = k
+            if k > 1:
+                continue
+            if k:  # one member left: covered once its inverse is
+                left = masks[si] & unpopped
+                if left & uncovered and covered[inv[left.bit_length() - 1]] is None:
+                    cover(si, left)
+            else:
+                roots.add(si)
+                left = masks[si] & uncovered
+                if left:
+                    cover(si, left)
+    return masks, covered, roots
 
 
-def _tree_from_cover(S, stars, covered, roots, caps):
-    """Rebuild an S-tree over the family from cover certificates; stars
-    is family.stars_sorted, so the first root in star order is the
-    least index."""
+def _tree_from_cover(S, masks, covered, roots, caps):
+    """Rebuild an S-tree over the family from cover certificates; masks
+    are in star order, so the first root in star order is the least
+    index, and members in position order are in sort_key order."""
     root_si = min(roots)
-    U = S.universe
+    elems, inv = S.oriented, S.inv_pos
     alpha = {}
     counter = [0]
 
@@ -381,22 +404,22 @@ def _tree_from_cover(S, stars, covered, roots, caps):
             )
         return v
 
-    def build(x, parent):
-        """Vertex for cover(x), whose star receives x from the parent."""
-        si, t = covered[x]
+    def build(p, parent):
+        """Vertex for cover(elems[p]), whose star receives it from the
+        parent."""
+        si, t = covered[p]
         v = new_vertex()
-        alpha[(parent, v)] = x
-        alpha[(v, parent)] = U.invert(x)
-        for w in sorted(stars[si] - {x}, key=U.sort_key):
-            wbar = U.invert(w)
-            if covered[wbar][1] >= t:
+        alpha[(parent, v)] = elems[p]
+        alpha[(v, parent)] = elems[inv[p]]
+        for w in bit_positions(masks[si] & ~(1 << p)):
+            if covered[inv[w]][1] >= t:
                 raise IntegrityError("cover certificates are not stratified")
-            build(wbar, v)
+            build(inv[w], v)
         return v
 
     root = new_vertex()
-    for w in sorted(stars[root_si], key=U.sort_key):
-        build(U.invert(w), root)
+    for w in bit_positions(masks[root_si]):
+        build(inv[w], root)
     return STree(S, counter[0], alpha)
 
 
@@ -415,13 +438,13 @@ def duality_decide(S, family: StarFamily, caps=DEFAULT_CAPS, verify=True) -> Dua
     if tangles:
         return DualityResult("tangle", tangle=tangles[0])
 
-    stars, covered, roots = _cover_fixpoint(S, family)
+    masks, covered, roots = _cover_fixpoint(S, family)
     if not roots:
         raise IntegrityError(
             "neither a tangle nor an S-tree exists; duality preconditions "
             "must have been violated"
         )
-    tree = _tree_from_cover(S, stars, covered, roots, caps)
+    tree = _tree_from_cover(S, masks, covered, roots, caps)
     tree = irredundant_reduction(tree, keep=(), family=family)
     rep = tree.validate(family)
     if rep.over_f is not True:

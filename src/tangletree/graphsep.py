@@ -266,13 +266,14 @@ def tk_star_family(G: Graph, k, S=None, caps=DEFAULT_CAPS) -> StarFamily:
             m &= not_a[v]
         partners_above.append(m >> (i + 1) << (i + 1))
 
-    stars = [
-        frozenset((elems[i],)) for i in bit_positions(live) if a_sides[i] == full
-    ]
+    # each size in star order: i, then j, then l ascending
+    singles = [1 << i for i in bit_positions(live) if a_sides[i] == full]
+    pairs, triples = [], []
     reach = {}  # A_x + A_y -> the vertices outside it and their neighbours
     holding = {}  # vertex set -> the members whose A side holds all of it
     for i, (x, pi) in enumerate(zip(elems, partners_above)):
         ax, bx = x
+        ibit = 1 << i
         # An edge that lies in neither side of a pair joins A_x - A_y to
         # A_y - A_x.  Its end u in A_x has a neighbour outside A_x, so u
         # is in the separator; list each such u with those neighbours.
@@ -286,8 +287,7 @@ def tk_star_family(G: Graph, k, S=None, caps=DEFAULT_CAPS) -> StarFamily:
             jbit = m & -m
             m ^= jbit
             j = jbit.bit_length() - 1
-            y = elems[j]
-            ay = y[0]
+            ay = elems[j][0]
             need = reach.get(ax | ay)
             if need is None:
                 need = full & ~(ax | ay)
@@ -298,7 +298,7 @@ def tk_star_family(G: Graph, k, S=None, caps=DEFAULT_CAPS) -> StarFamily:
                 if out & ay and not ubit & ay:
                     need |= ubit | out & ay
             if not need:
-                stars.append(frozenset((x, y)))
+                pairs.append(ibit | jbit)
             third = holding.get(need)
             if third is None:
                 third = everyone
@@ -309,14 +309,15 @@ def tk_star_family(G: Graph, k, S=None, caps=DEFAULT_CAPS) -> StarFamily:
             while third:
                 lbit = third & -third
                 third ^= lbit
-                stars.append(frozenset((x, y, elems[lbit.bit_length() - 1])))
-            if len(stars) > caps.max_results:
-                raise ResourceCapError("covering-star family too large")
+                triples.append(ibit | jbit | lbit)
+        if len(singles) + len(pairs) + len(triples) > caps.max_results:
+            raise ResourceCapError("covering-star family too large")
 
     # closure under shifting is a theorem for this family (Diestel & Oum);
     # the duality gate still verifies it where the system is small enough
-    return StarFamily(
-        S, stars, name=f"tk-star(k={k})", closed_under_shifting=True
+    return StarFamily.from_masks(
+        S, singles + pairs + triples, name=f"tk-star(k={k})",
+        closed_under_shifting=True,
     )
 
 

@@ -7,6 +7,7 @@ non-star members for plain tangle checking, but tree machinery insists
 on genuine stars.
 """
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations, product
@@ -134,6 +135,41 @@ def _is_star_mask(S, m):
     return True
 
 
+def _all_star_masks(S, masks):
+    """_is_star_mask for every mask at once: per position i, the union of
+    the masks holding i, less i, must lie below the inverse of i."""
+    down, inv = S.down_bits, S.inv_pos
+    union = [0] * len(S.oriented)
+    for m in masks:
+        rest = m
+        while rest:
+            b = rest & -rest
+            union[b.bit_length() - 1] |= m
+            rest ^= b
+    return not any(
+        u and (inv[i] == i or u & ~(1 << i) & ~down[inv[i]])
+        for i, u in enumerate(union)
+    )
+
+
+def _in_star_order(masks):
+    """True iff a sequence of masks is in star order (see mask_order):
+    by size, and of two masks of one size the earlier holds the lowest
+    position where they differ."""
+    sizes = [m.bit_count() for m in masks]
+    return all(
+        s < t or s == t and (a ^ b) & -(a ^ b) & a
+        for a, b, s, t in zip(masks, masks[1:], sizes, sizes[1:])
+    )
+
+
+def _mask_of(pos, sigma):
+    m = 0
+    for x in sigma:
+        m |= 1 << pos[x]
+    return m
+
+
 def star_order(S):
     """Sort key for sets of members of S: the size, then the positions in
     S.oriented ascending, packed into one int.  S.oriented is sorted by
@@ -150,6 +186,19 @@ def star_order(S):
     return key
 
 
+def mask_order(S):
+    """star_order for masks of positions in S.oriented."""
+    width = len(S.oriented).bit_length()
+
+    def key(m):
+        k = m.bit_count()
+        for p in bit_positions(m):
+            k = k << width | p
+        return k
+
+    return key
+
+
 class StarFamily:
     """A finite family of subsets of S-arrow, usually stars.
 
@@ -160,9 +209,9 @@ class StarFamily:
     gate trusts it only where the exhaustive check is out of reach.
 
     from_masks builds a family from masks of positions in
-    system.oriented; it keeps the masks and builds the frozensets of
-    `stars` only on first use.  A family built from frozensets keeps no
-    masks.
+    system.oriented; it keeps the masks, answers membership, length and
+    iteration from them, and builds the frozensets of `stars` only on
+    first use.  A family built from frozensets keeps no masks.
     """
 
     _masks = None
@@ -188,24 +237,29 @@ class StarFamily:
         self.stars_only = require_stars or all(is_star(U, s) for s in self.stars)
 
     @classmethod
-    def from_masks(cls, system, masks, require_stars=True, name=None):
+    def from_masks(cls, system, masks, require_stars=True, name=None,
+                   closed_under_shifting=False):
         """The family whose members are the given masks of positions in
         system.oriented.  A member that is not a star raises InputError
-        with star_violation's witness when require_stars is set."""
+        with star_violation's witness when require_stars is set.  A list
+        of masks already in star order (tk_star_family emits one) is kept
+        as masks_sorted; any other input is sorted on first use."""
         self = cls.__new__(cls)
         self.system = system
         self.name = name
-        self._closed_under_shifting = False
+        self._closed_under_shifting = bool(closed_under_shifting)
         self._masks = frozenset(masks)
-        bad = next(
-            (m for m in self._masks if not _is_star_mask(system, m)), None
-        )
-        if bad is not None and require_stars:
+        if require_stars and not _all_star_masks(system, self._masks):
+            bad = next(m for m in self._masks if not _is_star_mask(system, m))
             raise InputError(
                 "family member is not a star: "
                 f"{star_violation(system.universe, self._star_of(bad))}"
             )
-        self.stars_only = bad is None
+        self.stars_only = require_stars or all(
+            _is_star_mask(system, m) for m in self._masks
+        )
+        if isinstance(masks, list) and _in_star_order(masks):
+            self.masks_sorted = tuple(masks)
         return self
 
     def _star_of(self, m):
@@ -221,7 +275,7 @@ class StarFamily:
         return self._closed_under_shifting
 
     def _lacks_inverse_singleton(self, x):
-        return frozenset((self.system.universe.invert(x),)) not in self.stars
+        return (self.system.universe.invert(x),) not in self
 
     @cached_property
     def missing_trivial_singleton(self):
@@ -244,17 +298,51 @@ class StarFamily:
         )
 
     def __iter__(self):
-        return iter(self.stars_sorted)
+        """The members as frozensets, in star order."""
+        if self._masks is None:
+            return iter(self.stars_sorted)
+        return map(self._star_of, self.masks_sorted)
 
     def __len__(self):
         return len(self.stars if self._masks is None else self._masks)
 
     def __contains__(self, sigma):
-        return frozenset(sigma) in self.stars
+        if self._masks is None:
+            return frozenset(sigma) in self.stars
+        try:
+            return _mask_of(self.system.pos, sigma) in self._masks
+        except KeyError:  # not a set of members
+            return False
 
     @cached_property
     def stars_sorted(self):
-        return tuple(sorted(self.stars, key=star_order(self.system)))
+        if self._masks is None:
+            return tuple(sorted(self.stars, key=star_order(self.system)))
+        return tuple(self)
+
+    @cached_property
+    def masks_sorted(self):
+        """The members as masks of positions in system.oriented, in star
+        order."""
+        if self._masks is None:
+            pos = self.system.pos
+            return tuple(_mask_of(pos, sigma) for sigma in self.stars_sorted)
+        return tuple(sorted(self._masks, key=mask_order(self.system)))
+
+    def masks_over(self, S):
+        """masks_sorted as masks of positions in S.oriented, for a system
+        S with the family's members."""
+        if S.oriented == self.system.oriented:
+            return self.masks_sorted
+        return tuple(_mask_of(S.pos, sigma) for sigma in self)
+
+    def star(self, i):
+        """The i-th member in star order, as a frozenset.  A member of a
+        family built from masks is built by inserting its members in
+        position order, which fixes the order in which it iterates."""
+        if self._masks is None:
+            return self.stars_sorted[i]
+        return self._star_of(self.masks_sorted[i])
 
     def star_key(self, sigma):
         return star_order(self.system)(sigma)
@@ -263,15 +351,27 @@ class StarFamily:
         """New family with the given stars added; only those are checked.
 
         The base must be made of stars, and the result declares no
-        closure under shifting.
+        closure under shifting.  The extension of a family built from
+        masks is built from masks, its star order merged from the base's.
         """
         if not self.stars_only:
             raise InputError("only a family of stars can be extended")
-        out = StarFamily(
-            self.system, (s for s in extra if frozenset(s) not in self.stars),
-            name=name,
-        )
-        out.stars |= self.stars
+        S = self.system
+        out = StarFamily(S, (s for s in extra if s not in self), name=name)
+        if self._masks is None:
+            out.stars |= self.stars
+            return out
+        key = mask_order(S)
+        added = sorted((_mask_of(S.pos, s) for s in out.stars), key=key)
+        del out.stars  # built from the masks on first use
+        out._masks = self._masks.union(added)
+        base, merged, lo = self.masks_sorted, [], 0
+        for m in added:
+            i = bisect_left(base, key(m), lo, key=key)
+            merged += base[lo:i]
+            merged.append(m)
+            lo = i
+        out.masks_sorted = tuple(merged) + base[lo:]
         return out
 
 
@@ -281,7 +381,7 @@ def f_tangle_violation(S, O, family):
     if bad is not None:
         return ("inconsistent", bad)
     Oset = frozenset(O)
-    for sigma in family.stars_sorted:
+    for sigma in family:
         if sigma <= Oset:
             return ("excluded", sigma)
     return None
@@ -368,11 +468,7 @@ def enumerate_tangles(S, family=None, caps=DEFAULT_CAPS):
         if family._masks is not None and family.system.oriented == S.oriented:
             star_masks = list(family._masks)
         else:
-            for sigma in family.stars:
-                m = 0
-                for x in sigma:
-                    m |= 1 << pos[x]
-                star_masks.append(m)
+            star_masks = [_mask_of(pos, sigma) for sigma in family.stars]
         if any(m == 0 for m in star_masks):
             return ()  # empty star excludes everything
     stars_at = [[] for _ in range(len(S.oriented))]

@@ -295,7 +295,7 @@ def refine_treeset(S, nested: NestedSet, family, tangles=None, caps=DEFAULT_CAPS
     for node in trees.nodes_of(refined, caps):
         if node in homes:
             kinds.append((node, "tangle-home"))
-        elif node in family.stars:
+        elif node in family:
             kinds.append((node, "family-star"))
         else:
             raise IntegrityError(

@@ -410,6 +410,7 @@ def test_the_profile_pipeline_keeps_no_frozensets_and_no_join_rows():
 
 
 def test_a_frozenset_family_keeps_no_masks(triangle_tripod):
-    _, S, fam = triangle_tripod
+    _, S, tk = triangle_tripod
+    fam = orient.StarFamily(S, tk.stars)
     orient.enumerate_tangles(S, fam, BIG_CAPS)
     assert fam._masks is None and "_masks" not in vars(fam)

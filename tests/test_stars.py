@@ -1,0 +1,431 @@
+"""tk-star families kept as position masks and the duality cover fixpoint
+over positions, each against the frozenset code it replaced: the
+generator that built one frozenset per star, and the fixpoint and tree
+rebuild that keyed their tables by member.  Also the bulk star check of
+StarFamily.from_masks against the per-mask scan, and what a mask family
+keeps after duality and refinement."""
+
+import functools
+import random
+
+import pytest
+
+from tangletree import canonical, duality, graphsep, orient, randomgen
+from tangletree.core import (
+    BipartitionUniverse,
+    SeparationSystem,
+    bit_column,
+    bit_positions,
+)
+from tangletree.errors import InputError, IntegrityError, ResourceCapError
+from tangletree.trees import STree
+
+from conftest import BIG_CAPS, triangle_tripod_edges
+from test_profiles import SYSTEMS, _Reversed
+
+# -- the literal code --
+
+
+def literal_tk_star_family(G, k, S, caps=BIG_CAPS):
+    """tk_star_family as it was when it built a frozenset per star."""
+    elems = S.oriented
+    n = len(elems)
+    full = G.full_mask
+    adj = G.adj
+    everyone = (1 << n) - 1
+    a_sides = [x[0] for x in elems]
+    b_sides = [x[1] for x in elems]
+    has_a = [bit_column(a_sides, v) for v in range(G.n)]
+    not_a = [everyone ^ m for m in has_a]
+    in_b = [bit_column(b_sides, v) for v in range(G.n)]
+    live = everyone
+    for i, (a, b) in enumerate(elems):
+        if a == b:
+            live ^= 1 << i
+
+    partners_above = []
+    for i, (a, b) in enumerate(elems):
+        m = live if live >> i & 1 else 0
+        for v in bit_positions(a):
+            m &= in_b[v]
+        for v in bit_positions(full & ~b):
+            m &= not_a[v]
+        partners_above.append(m >> (i + 1) << (i + 1))
+
+    stars = [
+        frozenset((elems[i],)) for i in bit_positions(live) if a_sides[i] == full
+    ]
+    reach = {}
+    holding = {}
+    for i, (x, pi) in enumerate(zip(elems, partners_above)):
+        ax, bx = x
+        leaving = [
+            (1 << u, adj[u] & ~ax)
+            for u in bit_positions(ax & bx)
+            if adj[u] & ~ax
+        ]
+        m = pi
+        while m:
+            jbit = m & -m
+            m ^= jbit
+            j = jbit.bit_length() - 1
+            y = elems[j]
+            ay = y[0]
+            need = reach.get(ax | ay)
+            if need is None:
+                need = full & ~(ax | ay)
+                for v in bit_positions(need):
+                    need |= adj[v]
+                reach[ax | ay] = need
+            for ubit, out in leaving:
+                if out & ay and not ubit & ay:
+                    need |= ubit | out & ay
+            if not need:
+                stars.append(frozenset((x, y)))
+            third = holding.get(need)
+            if third is None:
+                third = everyone
+                for v in bit_positions(need):
+                    third &= has_a[v]
+                holding[need] = third
+            third &= pi & partners_above[j]
+            while third:
+                lbit = third & -third
+                third ^= lbit
+                stars.append(frozenset((x, y, elems[lbit.bit_length() - 1])))
+            if len(stars) > caps.max_results:
+                raise ResourceCapError("covering-star family too large")
+    return orient.StarFamily(
+        S, stars, name=f"tk-star(k={k})", closed_under_shifting=True
+    )
+
+
+def literal_cover_fixpoint(S, family):
+    """The cover fixpoint keyed by members: (stars, covered, roots)."""
+    U = S.universe
+    stars = family.stars_sorted
+    by_member = {}
+    for si, sigma in enumerate(stars):
+        for x in sigma:
+            by_member.setdefault(x, []).append(si)
+    need = [len(sigma) for sigma in stars]
+    covered = {}
+    queue = []
+    roots = set()
+    clock = [0]
+
+    def fire(x, si):
+        if x in covered:
+            return
+        covered[x] = (si, clock[0])
+        clock[0] += 1
+        queue.append(x)
+
+    def examine(si):
+        sigma = stars[si]
+        if need[si] == 0:
+            roots.add(si)
+            for x in sigma:
+                fire(x, si)
+        elif need[si] == 1:
+            for x in sigma:
+                if U.invert(x) not in covered:
+                    fire(x, si)
+                    break
+
+    for si in range(len(stars)):
+        examine(si)
+    head = 0
+    while head < len(queue):
+        y = queue[head]
+        head += 1
+        for si in by_member.get(U.invert(y), ()):
+            need[si] -= 1
+            examine(si)
+    return stars, covered, roots
+
+
+def literal_tree_from_cover(S, stars, covered, roots, caps=BIG_CAPS):
+    root_si = min(roots)
+    U = S.universe
+    alpha = {}
+    counter = [0]
+
+    def new_vertex():
+        v = counter[0]
+        counter[0] += 1
+        return v
+
+    def build(x, parent):
+        si, t = covered[x]
+        v = new_vertex()
+        alpha[(parent, v)] = x
+        alpha[(v, parent)] = U.invert(x)
+        for w in sorted(stars[si] - {x}, key=U.sort_key):
+            wbar = U.invert(w)
+            if covered[wbar][1] >= t:
+                raise IntegrityError("cover certificates are not stratified")
+            build(wbar, v)
+        return v
+
+    root = new_vertex()
+    for w in sorted(stars[root_si], key=U.sort_key):
+        build(U.invert(w), root)
+    return STree(S, counter[0], alpha)
+
+
+def literal_from_masks_error(S, masks):
+    """The text from_masks raised when it scanned every mask in turn, or
+    None when all are stars."""
+    masks = frozenset(masks)
+    bad = next((m for m in masks if not orient._is_star_mask(S, m)), None)
+    if bad is None:
+        return None
+    star = frozenset(S.oriented[i] for i in bit_positions(bad))
+    return f"family member is not a star: {orient.star_violation(S.universe, star)}"
+
+
+# -- the graphs --
+
+
+def _glued(blobs, clique):
+    return [["hub"] + [f"b{b}x{i}" for i in range(1, clique)] for b in range(blobs)]
+
+
+def _chain(length):
+    return [[f"h{b}", f"c{b}a", f"c{b}b", f"h{b + 1}"] for b in range(length)]
+
+
+LADDER = (
+    ("3xK5", _glued(3, 5)),
+    ("4xK4", _glued(4, 4)),
+    ("4xK5", _glued(4, 5)),
+    ("chain4xK4", _chain(4)),
+    ("5xK3", _glued(5, 3)),
+    ("6xK3", _glued(6, 3)),
+)
+
+
+def ladder_graphs(seed):
+    """The six ladder shapes, their vertices renamed as a seeded run of
+    the graph-ladder benchmark renames them (seed None keeps the names).
+    The names fix the vertex order, hence the positions of the members."""
+    rng = random.Random(seed)
+    for label, blocks in LADDER:
+        vertices = sorted({v for block in blocks for v in block})
+        if seed is not None:
+            names = (f"v{i}" for i in rng.sample(range(1000), len(vertices)))
+            rename = dict(zip(vertices, names))
+            blocks = [sorted(rename[v] for v in block) for block in blocks]
+        edges = [(u, v) for block in blocks
+                 for i, u in enumerate(block) for v in block[i + 1:]]
+        if seed is not None:  # the flips and the shuffle of the edge list
+            for _ in edges:
+                rng.random()
+            rng.shuffle(edges)
+        yield f"{label} seed {seed}", graphsep.Graph.from_edges(edges)
+
+
+def random_graphs():
+    for seed in range(8):
+        rng = random.Random(seed)
+        G = randomgen.random_connected_graph(rng, 5 + seed % 4, extra=1 + seed % 3)
+        yield f"random seed {seed}", G, 2 + seed % 2
+
+
+def _pairs():
+    """(label, literal family, mask family) over one system each."""
+    cases = [(label, G, 3) for seed in (1, 5) for label, G in ladder_graphs(seed)]
+    for label, G, k in cases + list(random_graphs()):
+        S = graphsep.graph_separation_system(G, k, BIG_CAPS)
+        yield label, literal_tk_star_family(G, k, S), graphsep.tk_star_family(G, k, S, BIG_CAPS)
+
+
+PAIRS = list(_pairs())
+
+
+def _extension(fam):
+    """fam extended by the inverse singletons of every seventh member, as
+    refinement extends a family by the singletons of up-closures."""
+    S = fam.system
+    U = S.universe
+    return fam.extended(
+        [frozenset((U.invert(x),)) for x in S.oriented[::7] if x != U.invert(x)]
+    )
+
+
+# -- the families --
+
+
+def test_tk_star_masks_match_the_frozenset_family():
+    sizes = set()
+    for label, old, new in PAIRS:
+        S = new.system
+        assert new._masks is not None and old._masks is None, label
+        assert new.closed_under_shifting and new.stars_only
+        assert new.name == old.name
+        assert "masks_sorted" in vars(new), label  # kept as generated
+        assert len(new) == len(old)
+        assert tuple(new) == old.stars_sorted
+        assert new.stars == old.stars
+        assert new.missing_trivial_singleton == old.missing_trivial_singleton
+        assert new.missing_small_singleton == old.missing_small_singleton
+        for sigma in old.stars_sorted[:: max(1, len(old) // 20)]:
+            assert sigma in new
+        U = S.universe
+        for x in S.oriented:
+            assert ((U.invert(x),) in new) == (frozenset((U.invert(x),)) in old.stars)
+        sizes |= {len(s) for s in old.stars}
+    assert sizes == {1, 2, 3}
+
+
+@functools.cache
+def extended_pairs():
+    return [(label, _extension(old), _extension(new)) for label, old, new in PAIRS]
+
+
+def test_extensions_match_the_frozenset_family():
+    for label, old, new in extended_pairs():
+        assert new._masks is not None and old._masks is None, label
+        assert tuple(new) == old.stars_sorted
+        assert len(new) == len(old) and not new.closed_under_shifting
+    label, old, new = PAIRS[0]
+    small = new.extended([frozenset((x,)) for x in new.system.oriented[:9]])
+    assert small.masks_sorted == tuple(
+        sorted(small._masks, key=orient.mask_order(small.system))
+    )
+
+
+def test_a_list_out_of_star_order_is_sorted():
+    label, old, new = PAIRS[0]
+    S = new.system
+    masks = list(new.masks_sorted)
+    for shuffled in (masks[::-1], masks[1::2] + masks[::2], masks + masks[:1]):
+        fam = orient.StarFamily.from_masks(S, shuffled)
+        assert "masks_sorted" not in vars(fam)
+        assert fam.masks_sorted == new.masks_sorted
+        assert fam.stars_sorted == old.stars_sorted
+
+
+# -- the fixpoint and the tree --
+
+
+def _compare_fixpoints(S, old_fam, new_fam):
+    stars, want, want_roots = literal_cover_fixpoint(S, old_fam)
+    masks, covered, roots = duality._cover_fixpoint(S, new_fam)
+    got = {S.oriented[p]: c for p, c in enumerate(covered) if c is not None}
+    assert got == want
+    assert roots == want_roots
+    if not roots:
+        return False
+    want_tree = literal_tree_from_cover(S, stars, want, want_roots)
+    tree = duality._tree_from_cover(S, masks, covered, roots, BIG_CAPS)
+    assert (tree.n, tree.alpha) == (want_tree.n, want_tree.alpha)
+    return True
+
+
+def test_cover_fixpoint_matches_the_member_keyed_loop():
+    trees = 0
+    for (label, old, new), (_, old_ext, new_ext) in zip(PAIRS, extended_pairs()):
+        S = new.system
+        trees += _compare_fixpoints(S, old, new)
+        trees += _compare_fixpoints(S, old_ext, new_ext)
+        # a family built from frozensets fires in its own frozensets' order
+        trees += _compare_fixpoints(S, old, old)
+    assert trees >= 30
+
+
+def test_firing_in_position_order_is_caught(monkeypatch):
+    """Firing the members of a star in position order, not in the order
+    its frozenset iterates them, gives covered maps that differ from the
+    loop's."""
+    star = orient.StarFamily.star
+
+    def in_position_order(fam, i):
+        return tuple(sorted(star(fam, i), key=fam.system.pos.__getitem__))
+
+    monkeypatch.setattr(orient.StarFamily, "star", in_position_order)
+    caught = 0
+    for label, old, new in extended_pairs():
+        try:
+            _compare_fixpoints(new.system, old, new)
+        except AssertionError:
+            caught += 1
+    assert caught >= 10
+
+
+def test_the_fixpoint_reads_a_family_over_another_order():
+    """A family over a system with the same members in another order
+    keeps its own star order, and the tree its system's sort_key order."""
+    points = "pqrs"
+    S = SeparationSystem(BipartitionUniverse(points), range(16))
+    R = SeparationSystem(_Reversed(points), range(16))
+    assert S.members == R.members and S.oriented != R.oriented
+    trees = 0
+    for seed in range(6):
+        rng = random.Random(seed)
+        masks = {1 << i for i in range(16) if rng.random() < 0.6}
+        masks |= {m for m in (rng.getrandbits(16) & rng.getrandbits(16)
+                              for _ in range(40)) if orient._is_star_mask(R, m)}
+        by_masks = orient.StarFamily.from_masks(R, list(masks))
+        by_sets = orient.StarFamily(R, by_masks.stars)
+        trees += _compare_fixpoints(S, by_sets, by_masks)
+        trees += _compare_fixpoints(S, by_sets, by_sets)
+    assert trees >= 4
+
+
+# -- what a mask family keeps --
+
+
+def test_duality_and_refinement_build_no_frozensets():
+    triangle = [("a", "b"), ("b", "c"), ("a", "c")]
+    verified = 0
+    for edges, k, kind in (
+        (triangle_tripod_edges(), 2, "tangle"),
+        (triangle_tripod_edges(), 3, "tree"),
+        (triangle, 3, "tree"),
+    ):
+        G = graphsep.Graph.from_edges(edges)
+        S = graphsep.graph_separation_system(G, k, BIG_CAPS)
+        fam = graphsep.tk_star_family(G, k, S, BIG_CAPS)
+        assert duality.duality_decide(S, fam, BIG_CAPS).kind == kind
+        assert "stars" not in vars(fam) and "stars_sorted" not in vars(fam)
+        verified += duality.shift_verdict(S, fam, BIG_CAPS) == "verified"
+    assert verified == 2  # the exhaustive shift check read the masks too
+    label, G = next(ladder_graphs(1))
+    S = graphsep.graph_separation_system(G, 3, BIG_CAPS)
+    fam = graphsep.tk_star_family(G, 3, S, BIG_CAPS)
+    out = canonical.refined_tree_of_tangles(S, fam, caps=BIG_CAPS)
+    assert out.refinement.inessential
+    assert "stars" not in vars(fam) and "stars_sorted" not in vars(fam)
+
+
+# -- the star check --
+
+
+def test_the_bulk_star_check_matches_the_per_mask_scan():
+    raised = passed = 0
+    for S in SYSTEMS:
+        n = len(S.oriented)
+        rng = random.Random(n)
+        stars = [m for m in (rng.getrandbits(n) & rng.getrandbits(n) & rng.getrandbits(n)
+                             for _ in range(200)) if orient._is_star_mask(S, m)]
+        stars += [1 << i for i in range(n) if S.inv_pos[i] != i]
+        for trial in range(6):
+            masks = rng.sample(stars, min(len(stars), 1 + trial * 5))
+            if trial % 2:
+                masks.append(rng.getrandbits(n))
+            want = literal_from_masks_error(S, masks)
+            assert orient._all_star_masks(S, masks) == (want is None)
+            if want is None:
+                fam = orient.StarFamily.from_masks(S, masks)
+                assert fam.stars_only
+                passed += 1
+                continue
+            with pytest.raises(InputError) as err:
+                orient.StarFamily.from_masks(S, masks)
+            assert str(err.value) == want
+            fam = orient.StarFamily.from_masks(S, masks, require_stars=False)
+            assert not fam.stars_only
+            raised += 1
+    assert raised >= 20 and passed >= 20
