@@ -16,7 +16,8 @@ its canonical orientation, the sort_key-minimal one of the pair.
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import combinations
+from itertools import combinations, compress, repeat
+from operator import and_, or_
 
 from .errors import InputError, UnsupportedOperationError
 
@@ -38,11 +39,22 @@ class Universe:
     def join(self, x, y):
         raise NotImplementedError
 
-    def joins(self, x, ys):
-        """[join(x, y) for y in ys].  Backends may skip the per-element
-        checks: callers pass members of a system, validated when it was
-        built."""
-        return [self.join(x, y) for y in ys]
+    def lattice_codes(self, elems):
+        """(jcode, mcode): one int per element of elems for each lattice
+        operation, both injective, with jcode(x v y) = jcode(x) | jcode(y)
+        and mcode(x ^ y) = mcode(x) & mcode(y).  So a join or meet lies in
+        a set of elements iff the OR or AND of codes is one of their codes.
+
+        This default needs no distributivity: the join code is the
+        complement of x's up-set and the meet code x's down-set, both as
+        bitsets over elements().  Bipartitions and graph separations use
+        their side masks instead.  Elements are not checked."""
+        every = self.elements()
+        up, down = self.order_tables(every)
+        at = {x: i for i, x in enumerate(every)}
+        full = (1 << len(every)) - 1
+        rows = [at[x] for x in elems]
+        return [full ^ up[i] for i in rows], [down[i] for i in rows]
 
     def order_tables(self, elems):
         """(up, down) over the sorted members elems of a system: up[i] has
@@ -371,8 +383,8 @@ class BipartitionUniverse(Universe):
         self.check_element(y)
         return x | y
 
-    def joins(self, x, ys):
-        return [x | y for y in ys]
+    def lattice_codes(self, elems):
+        return elems, elems
 
     def order_tables(self, elems):
         up, down = containment_rows(elems, len(self.ground))
@@ -562,6 +574,16 @@ class SeparationSystem:
     def strict_down_bits(self):
         return tuple(m & ~(1 << i) for i, m in enumerate(self.down_bits))
 
+    @cached_property
+    def lattice_codes(self):
+        """(jcode, mcode) of oriented: see Universe.lattice_codes."""
+        return self.universe.lattice_codes(self.oriented)
+
+    @cached_property
+    def join_pos(self):
+        """The position in oriented of the member with each join code."""
+        return {c: i for i, c in enumerate(self.lattice_codes[0])}
+
     def join_row(self, i):
         """(row, joinable) of oriented[i], built on first use and kept.
 
@@ -571,8 +593,8 @@ class SeparationSystem:
         """
         rows = vars(self).setdefault("_join_rows", {})
         if i not in rows:
-            U, pos, s = self.universe, self.pos, self.oriented[i]
-            row = [pos.get(U.join(s, x), -1) for x in self.oriented]
+            jc, join_pos = self.lattice_codes[0], self.join_pos
+            row = tuple(map(join_pos.get, map(or_, repeat(jc[i]), jc), repeat(-1)))
             joinable = 0
             for j, p in enumerate(row):
                 if p >= 0:
@@ -627,20 +649,48 @@ class SeparationSystem:
         return tuple(x for x in self.oriented if U.leq(x, U.invert(x)))
 
     def submodular_violation(self):
-        """First oriented pair with neither meet nor join in the system.
+        """First pair (r, s), r at or before s in oriented order, with
+        neither r v s nor r ^ s in the system; None if S is submodular.
 
-        Pairs (r, s) with r at or before s in oriented order; one batch
-        of joins per r, and a meet only where the join leaves S.
+        Tested on lattice codes: r v s lies in S iff jcode(r) | jcode(s)
+        is a member's join code, and r ^ s iff mcode(r) & mcode(s) is a
+        member's meet code.  The involution reverses the order, so
+        r* v s* = (r ^ s)* and r* ^ s* = (r v s)*; S is closed under *,
+        so (r, s) violates iff (r*, s*) does.  The scan takes one pair
+        per such orbit: the rows are the canonical orientations, and each
+        row's tail holds the members of its separation and of every later
+        one.  Only on a hit does it scan again, in oriented order, so the
+        witness is the first violating pair in that order.
         """
-        U = self.universe
-        mem = self.members
+        jc, mc = self.lattice_codes
+        M = frozenset(mc)
+        # outside.get(c, True): whether the join with code c leaves S
+        outside = dict.fromkeys(jc, False)
+
+        def clean(i, tail_j, tail_m):
+            # the meets of the pairs whose join leaves S all lie in S
+            joins = map(or_, repeat(jc[i]), tail_j)
+            escaped = compress(tail_m, map(outside.get, joins, repeat(True)))
+            return M.issuperset(map(and_, repeat(mc[i]), escaped))
+
+        pos, inv = self.pos, self.inv_pos
+        rows, order = [], []
+        for x in self.separations:
+            i = pos[x]
+            rows.append((i, len(order)))
+            order += (i,) if inv[i] == i else (i, inv[i])
+        tj = [jc[p] for p in order]
+        tm = [mc[p] for p in order]
+        if all(clean(i, tj[k:], tm[k:]) for i, k in rows):
+            return None
         elems = self.oriented
         for i, r in enumerate(elems):
-            tail = elems[i:]
-            for s, j in zip(tail, U.joins(r, tail)):
-                if j not in mem and U.meet(r, s) not in mem:
-                    return (r, s)
-        return None
+            if not clean(i, jc[i:], mc[i:]):
+                return next(
+                    (r, elems[j])
+                    for j in range(i, len(elems))
+                    if jc[i] | jc[j] not in outside and mc[i] & mc[j] not in M
+                )
 
     @cached_property
     def submodular_witness(self):

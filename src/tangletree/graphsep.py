@@ -144,9 +144,12 @@ class GraphUniverse(Universe):
     def join(self, x, y):
         return (x[0] | y[0], x[1] & y[1])
 
-    def joins(self, x, ys):
-        a, b = x
-        return [(a | c, b & d) for c, d in ys]
+    def lattice_codes(self, elems):
+        # A << n | (V - B): join ORs the A sides and ANDs the B sides, so
+        # it ORs both halves; meet does the opposite and ANDs both halves
+        n, full = self.graph.n, self.graph.full_mask
+        codes = [a << n | full ^ b for a, b in elems]
+        return codes, codes
 
     def order_tables(self, elems):
         n = self.graph.n

@@ -10,7 +10,8 @@ on genuine stars.
 from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import combinations, product
+from itertools import combinations, product, repeat
+from operator import or_
 
 from .config import DEFAULT_CAPS
 from .core import bit_positions
@@ -80,22 +81,23 @@ def profile_violation(S, O):
     Returns either an inconsistent pair or a pair (r, s) of members whose
     co-join (r v s)* lies in O.  The r = s case matters only for
     degenerate members, which can never sit in a profile.  Pairs are
-    scanned with r at or before s in S.oriented order, one batch of
-    joins per r.
+    scanned with r at or before s in S.oriented order, each row r as one
+    OR of its join code with the codes of its tail.
     """
     bad = consistency_violation(S, O)
     if bad is not None:
         return bad
-    U = S.universe
-    elems, pos, inv = S.oriented, S.pos, S.inv_pos
+    jc, pos, inv = S.lattice_codes[0], S.pos, S.inv_pos
     chosen = sorted(set(O), key=pos.__getitem__)
+    codes = [jc[pos[x]] for x in chosen]
     # (r v s)* lies in O iff the join is the inverse of a member of O
-    co = frozenset(elems[inv[pos[x]]] for x in chosen)
+    co = frozenset(jc[inv[pos[x]]] for x in chosen)
     for i, r in enumerate(chosen):
-        tail = chosen[i:]
-        for s, j in zip(tail, U.joins(r, tail)):
-            if j in co:
-                return (r, s)
+        c = codes[i]
+        if not co.isdisjoint(map(or_, repeat(c), codes[i:])):
+            return next(
+                (r, s) for s, d in zip(chosen[i:], codes[i:]) if c | d in co
+            )
     return None
 
 
@@ -398,12 +400,11 @@ def profile_star_family(S) -> StarFamily:
     contained in an orientation of S, so exclusion is unaffected.  Each
     triple is a mask of positions in S.oriented.
     """
-    U = S.universe
-    elems, pos, inv = S.oriented, S.pos, S.inv_pos
+    jc, join_pos, inv = S.lattice_codes[0], S.join_pos, S.inv_pos
     masks = set()
-    for i, r in enumerate(elems):
+    for i, c in enumerate(jc):
         bit = 1 << i
-        for j, p in enumerate(map(pos.get, U.joins(r, elems[i:])), i):
+        for j, p in enumerate(map(join_pos.get, map(or_, repeat(c), jc[i:])), i):
             if p is not None:
                 masks.add(bit | 1 << j | 1 << inv[p])
     return StarFamily.from_masks(S, masks, require_stars=False, name="profiles")

@@ -296,7 +296,8 @@ def test_benchmark_spans_wrap_plain_functions(capsys, tmp_path):
         })
         assert tt.cli is not saved["tangletree.cli"]
         targets = []
-        for _, module, attr, _ in spans.WRAPPED:
+        wrapped = [(module, attr) for _, module, attr, _ in spans.WRAPPED]
+        for module, attr in wrapped + [("cli", "build_parser")]:
             owner = getattr(tt, module)
             if "." in attr:
                 cls, attr = attr.split(".")

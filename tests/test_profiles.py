@@ -2,7 +2,8 @@
 triples, submodular_violation, classify and the star test on masks, each
 against the literal universe-oracle loop it replaced, witnesses included;
 star families built from masks against the same families built from
-frozensets; and the tables the layer must not keep."""
+frozensets; the laws of the universes' lattice codes; and the tables the
+layer must not keep."""
 
 import copy
 import itertools
@@ -131,11 +132,44 @@ def table_systems():
             yield SeparationSystem.from_unoriented(U, picked)
 
 
+def _m3():
+    """The diamond M3, 0 < a, b, c < 1, a lattice that is not
+    distributive; the involution swaps 0 and 1 and a and b, and fixes c."""
+    covers = [(0, 1), (0, 2), (0, 3), (1, 4), (2, 4), (3, 4)]
+    return TablePoset(5, [4, 2, 1, 3, 0], covers, names=["0", "a", "b", "c", "1"])
+
+
+def _without_corners(S, pairs=2):
+    """S less both corners r v s and r ^ s, and their inverses, of its
+    first crossing pairs whose corners lie in S and spare every pair kept
+    so far: each kept pair, and its inverse pair, then violates."""
+    U = S.universe
+    gone, kept = set(), set()
+    for r, s in itertools.combinations(S.oriented, 2):
+        if U.nested(r, s):
+            continue
+        corners = {U.join(r, s), U.meet(r, s)}
+        corners |= {U.invert(c) for c in corners}
+        ends = {r, s, U.invert(r), U.invert(s)}
+        if not corners <= S.members or corners & (kept | ends) or ends & gone:
+            continue
+        gone |= corners
+        kept |= ends
+        pairs -= 1
+        if not pairs:
+            break
+    return SeparationSystem(U, S.members - gone)
+
+
 def non_submodular_systems():
     for case in CASES:
         S, _ = _loaded(case)
         if S.submodular_witness is not None:
             yield S
+    C4 = graphsep.Graph.from_edges([("a", "b"), ("b", "c"), ("c", "d"), ("d", "a")])
+    yield _without_corners(graphsep.graph_separation_system(C4, 3, BIG_CAPS))
+    for U in (_chain_product((3, 2, 2)), _m3()):
+        yield _without_corners(SeparationSystem(U, U.elements()))
 
 
 def all_systems():
@@ -211,13 +245,70 @@ def test_profile_triples_match_the_loop():
         assert fam.stars_only == all(orient.is_star(S.universe, t) for t in want)
 
 
+def _violating_pairs(S):
+    U = S.universe
+    return sum(
+        U.join(r, s) not in S.members and U.meet(r, s) not in S.members
+        for r, s in itertools.combinations_with_replacement(S.oriented, 2)
+    )
+
+
 def test_submodular_violation_matches_the_loop():
     witnesses = 0
     for S in SYSTEMS:
         want = literal_submodular_violation(S)
         assert S.submodular_violation() == want
         witnesses += want is not None
-    assert witnesses >= 2
+    assert witnesses >= 5
+    kinds = {type(S.universe).__name__ for S in non_submodular_systems()}
+    assert kinds == {"BipartitionUniverse", "GraphUniverse", "TablePoset"}
+    several = [S for S in non_submodular_systems() if _violating_pairs(S) >= 3]
+    assert {type(S.universe).__name__ for S in several} >= {"GraphUniverse", "TablePoset"}
+
+
+# -- lattice codes --
+
+
+def _check_code_laws(U, elems):
+    """Both codes injective on elems, jcode(x v y) = jcode(x) | jcode(y)
+    and mcode(x ^ y) = mcode(x) & mcode(y) for every pair of elems."""
+    elems = list(elems)
+    jc, mc = U.lattice_codes(elems)
+    assert len(set(jc)) == len(set(mc)) == len(set(elems))
+    pairs = list(itertools.product(range(len(elems)), repeat=2))
+    joins, _ = U.lattice_codes([U.join(elems[i], elems[j]) for i, j in pairs])
+    _, meets = U.lattice_codes([U.meet(elems[i], elems[j]) for i, j in pairs])
+    for (i, j), jj, mm in zip(pairs, joins, meets):
+        assert jj == jc[i] | jc[j], (elems[i], elems[j])
+        assert mm == mc[i] & mc[j], (elems[i], elems[j])
+
+
+def _whole_universes():
+    yield BipartitionUniverse("pqr")
+    P3 = graphsep.Graph.from_edges([("a", "b"), ("b", "c")])
+    C4 = graphsep.Graph.from_edges([("a", "b"), ("b", "c"), ("c", "d"), ("d", "a")])
+    yield graphsep.GraphUniverse(P3)
+    yield graphsep.GraphUniverse(C4)
+    for lengths in ((3, 3), (2, 3), (3, 2, 2), (5,)):
+        yield _chain_product(lengths)
+    yield _m3()
+
+
+def test_lattice_codes_obey_the_laws_on_every_system():
+    for S in SYSTEMS:
+        _check_code_laws(S.universe, S.oriented)
+        assert S.lattice_codes == S.universe.lattice_codes(S.oriented)
+
+
+def test_lattice_codes_obey_the_laws_on_whole_universes():
+    for U in _whole_universes():
+        _check_code_laws(U, U.elements())
+
+
+def test_m3_is_a_lattice_that_is_not_distributive():
+    U = _m3()
+    a, b, c = U.id_of("a"), U.id_of("b"), U.id_of("c")
+    assert U.meet(a, U.join(b, c)) != U.join(U.meet(a, b), U.meet(a, c))
 
 
 def test_classify_matches_the_loop():
