@@ -352,15 +352,21 @@ class BipartitionUniverse(Universe):
         if self.has_order:
             # Masks are visited as a, then its complement, for a ascending:
             # the same first bad value and first asymmetric mask as checking
-            # every mask against its complement.  Equal values share one
-            # Fraction, so the table costs about a pointer per mask.
+            # every mask against its complement.  Each distinct value is
+            # converted once and shared by every mask that has it, so the
+            # table costs about a pointer per mask and equal values are
+            # the same object.  A float never reaches the int lookup.
             table = [None] * (self.full + 1)
-            values = {}
+            values = {}  # each value seen, int or Fraction -> its Fraction
             for a in range((self.full + 1) >> 1):
                 for m in (a, self.full ^ a):
-                    v = _as_order(order_fn(m))
-                    table[m] = values.setdefault(v, v)
-                if table[a] != table[self.full ^ a]:
+                    v = order_fn(m)
+                    f = values.get(v) if type(v) is int else None
+                    if f is None:
+                        f = _as_order(v)
+                        f = values.setdefault(f, f)
+                    table[m] = f
+                if table[a] is not table[self.full ^ a]:
                     raise InputError(
                         f"order not invariant under complement at mask {a:#x}"
                     )
@@ -422,12 +428,33 @@ def weighted_cut(weights):
     """Order function of a weighted cut on ground-point indices.
 
     weights maps index pairs (i, j) to ints; the order of a mask is the
-    total weight of the pairs it separates.  Zero weights are dropped.
+    total weight of the pairs it separates.  The values are tabulated
+    once, over the masks of the points up to the largest index of a
+    nonzero weight, by doubling: for a mask m of points below i,
+    cut(m + i) = cut(m) + deg(i) - 2 w(i, m), so cut({i}) = deg(i), and
+    adding a point j < i to m adds cut(m + j) - cut(m) - 2 w(i, j).
+    Equal values share one int, so the table costs a pointer per mask.
     """
-    terms = [((1 << i) | (1 << j), w) for (i, j), w in weights.items() if w != 0]
+    n = 1 + max((max(pair) for pair, x in weights.items() if x), default=-1)
+    w = [[0] * n for _ in range(n)]
+    for (i, j), x in weights.items():
+        if x and i != j:
+            w[i][j] += x
+            w[j][i] += x
+    table, shared = [0] * (1 << n), {}
+    for i, row in enumerate(w):
+        # the masks m + i for m below i, written in place
+        base, v = 1 << i, sum(row)
+        table[base] = shared.setdefault(v, v)
+        for j in range(i):
+            lo, twice = 1 << j, 2 * row[j]
+            for m in range(lo):
+                v = table[base + m] + table[lo + m] - table[m] - twice
+                table[base + lo + m] = shared.setdefault(v, v)
+    low = len(table) - 1
 
     def cut(mask):
-        return sum(w for pair, w in terms if 0 != mask & pair != pair)
+        return table[mask & low]
 
     return cut
 

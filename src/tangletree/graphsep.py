@@ -230,53 +230,72 @@ def tk_star_family(G: Graph, k, S=None, caps=DEFAULT_CAPS) -> StarFamily:
     """Stars of up to three separations of order below k whose left
     sides together cover all vertices and edges of G.
 
-    Built from bitsets over the positions of S.oriented: has_a[v] holds
-    the members whose A side contains vertex v, in_b[v] those whose B
-    side does.  Members x and y form a star iff A_x lies in B_y and A_y
-    in B_x, an AND of in_b over A_x and of the complement of has_a over
-    V - B_x.  A pair leaves uncovered the vertices outside A_x + A_y and
+    Built from bitsets over the positions of S.oriented.  The partners of
+    a member x, those y with x <= y*, are a row of S's order table.
+    has_a[v] holds the members whose A side contains vertex v, so
+    holding(X), the AND of has_a over a vertex set X, holds the members
+    whose A side holds all of X.  The partners y of x with A_y holding
+    the vertices outside A_x and their neighbours form a covering pair.
+    Any other pair leaves uncovered the vertices outside A_x + A_y and
     the edges that lie in neither side; a third member must be a partner
-    of both and hold all of these vertices and the ends of these edges,
-    an AND of has_a over them.  So every bit that survives is a covering
-    star, and a pair that leaves nothing uncovered is one itself.
+    of both and hold all of these vertices and the ends of these edges.
+    So every bit that survives is a covering star.
     """
     if S is None:
         S = graph_separation_system(G, k, caps)
     if k > G.n:
         raise InputError("covering stars need k at most the vertex count")
     elems = S.oriented
-    n = len(elems)
     full = G.full_mask
     adj = G.adj
-    everyone = (1 << n) - 1
+    everyone = (1 << len(elems)) - 1
     a_sides = [x[0] for x in elems]
-    b_sides = [x[1] for x in elems]
     has_a = [bit_column(a_sides, v) for v in range(G.n)]
-    not_a = [everyone ^ m for m in has_a]
-    in_b = [bit_column(b_sides, v) for v in range(G.n)]
     live = everyone
     for i, (a, b) in enumerate(elems):
         if a == b:
             live ^= 1 << i
 
-    # partners_above[i]: the non-degenerate j > i with x_i <= x_j*
-    partners_above = []
-    for i, (a, b) in enumerate(elems):
-        m = live if live >> i & 1 else 0
-        for v in bit_positions(a):
-            m &= in_b[v]
-        for v in bit_positions(full & ~b):
-            m &= not_a[v]
-        partners_above.append(m >> (i + 1) << (i + 1))
+    # partners_above[i]: the non-degenerate j > i with x_i <= x_j*, that
+    # is x_j <= x_i*
+    down, inv = S.down_bits, S.inv_pos
+    partners_above = [
+        (down[inv[i]] & live) >> (i + 1) << (i + 1) if live >> i & 1 else 0
+        for i in range(len(elems))
+    ]
+
+    reach = {}  # a vertex set -> the vertices outside it and their neighbours
+    holding = {}  # vertex set -> the members whose A side holds all of it
+
+    def reach_of(a):
+        out = reach.get(a)
+        if out is None:
+            out = full & ~a
+            for v in bit_positions(out):
+                out |= adj[v]
+            reach[a] = out
+        return out
+
+    def holding_of(need):
+        out = holding.get(need)
+        if out is None:
+            out = everyone
+            for v in bit_positions(need):
+                out &= has_a[v]
+            holding[need] = out
+        return out
 
     # each size in star order: i, then j, then l ascending
     singles = [1 << i for i in bit_positions(live) if a_sides[i] == full]
     pairs, triples = [], []
-    reach = {}  # A_x + A_y -> the vertices outside it and their neighbours
-    holding = {}  # vertex set -> the members whose A side holds all of it
     for i, (x, pi) in enumerate(zip(elems, partners_above)):
         ax, bx = x
         ibit = 1 << i
+        m = pi & holding_of(reach_of(ax))
+        while m:
+            jbit = m & -m
+            m ^= jbit
+            pairs.append(ibit | jbit)
         # An edge that lies in neither side of a pair joins A_x - A_y to
         # A_y - A_x.  Its end u in A_x has a neighbour outside A_x, so u
         # is in the separator; list each such u with those neighbours.
@@ -290,25 +309,15 @@ def tk_star_family(G: Graph, k, S=None, caps=DEFAULT_CAPS) -> StarFamily:
             jbit = m & -m
             m ^= jbit
             j = jbit.bit_length() - 1
+            third = pi & partners_above[j]
+            if not third:
+                continue
             ay = elems[j][0]
-            need = reach.get(ax | ay)
-            if need is None:
-                need = full & ~(ax | ay)
-                for v in bit_positions(need):
-                    need |= adj[v]
-                reach[ax | ay] = need
+            need = reach_of(ax | ay)
             for ubit, out in leaving:
                 if out & ay and not ubit & ay:
                     need |= ubit | out & ay
-            if not need:
-                pairs.append(ibit | jbit)
-            third = holding.get(need)
-            if third is None:
-                third = everyone
-                for v in bit_positions(need):
-                    third &= has_a[v]
-                holding[need] = third
-            third &= pi & partners_above[j]
+            third &= holding_of(need)
             while third:
                 lbit = third & -third
                 third ^= lbit

@@ -10,8 +10,8 @@ on genuine stars.
 from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import combinations, product, repeat
-from operator import or_
+from itertools import combinations, groupby, product, repeat
+from operator import itemgetter, or_
 
 from .config import DEFAULT_CAPS
 from .core import bit_positions
@@ -242,15 +242,24 @@ class StarFamily:
     def from_masks(cls, system, masks, require_stars=True, name=None,
                    closed_under_shifting=False):
         """The family whose members are the given masks of positions in
-        system.oriented.  A member that is not a star raises InputError
-        with star_violation's witness when require_stars is set.  A list
-        of masks already in star order (tk_star_family emits one) is kept
-        as masks_sorted; any other input is sorted on first use."""
+        system.oriented, repeats dropped.  When require_stars is set, the
+        first kept mask that is not a star raises InputError with
+        star_violation's witness.
+
+        The masks are kept as a tuple.  A set of them, whose table alone
+        is about as large as the masks and the tuple together, is built
+        only when membership is asked.  A list already in star order
+        (tk_star_family emits one) holds no repeats and is kept in that
+        order, as masks_sorted too; any other input is sorted by value,
+        which drops the repeats, and into star order on first use."""
         self = cls.__new__(cls)
         self.system = system
         self.name = name
         self._closed_under_shifting = bool(closed_under_shifting)
-        self._masks = frozenset(masks)
+        if isinstance(masks, list) and _in_star_order(masks):
+            self._masks = self.masks_sorted = tuple(masks)
+        else:
+            self._masks = tuple(map(itemgetter(0), groupby(sorted(masks))))
         if require_stars and not _all_star_masks(system, self._masks):
             bad = next(m for m in self._masks if not _is_star_mask(system, m))
             raise InputError(
@@ -260,9 +269,11 @@ class StarFamily:
         self.stars_only = require_stars or all(
             _is_star_mask(system, m) for m in self._masks
         )
-        if isinstance(masks, list) and _in_star_order(masks):
-            self.masks_sorted = tuple(masks)
         return self
+
+    @cached_property
+    def _mask_set(self):
+        return frozenset(self._masks)
 
     def _star_of(self, m):
         elems = self.system.oriented
@@ -312,7 +323,7 @@ class StarFamily:
         if self._masks is None:
             return frozenset(sigma) in self.stars
         try:
-            return _mask_of(self.system.pos, sigma) in self._masks
+            return _mask_of(self.system.pos, sigma) in self._mask_set
         except KeyError:  # not a set of members
             return False
 
@@ -366,7 +377,7 @@ class StarFamily:
         key = mask_order(S)
         added = sorted((_mask_of(S.pos, s) for s in out.stars), key=key)
         del out.stars  # built from the masks on first use
-        out._masks = self._masks.union(added)
+        out._masks = self._masks + tuple(added)
         base, merged, lo = self.masks_sorted, [], 0
         for m in added:
             i = bisect_left(base, key(m), lo, key=key)
@@ -398,16 +409,20 @@ def profile_star_family(S) -> StarFamily:
 
     Triples whose co-join leaves the system are dropped: they can never be
     contained in an orientation of S, so exclusion is unaffected.  Each
-    triple is a mask of positions in S.oriented.
+    triple is a mask of positions in S.oriented, handed to from_masks as
+    it is made, which drops the repeats (a triple can come from up to
+    three pairs) by sorting, with no set of the triples.
     """
     jc, join_pos, inv = S.lattice_codes[0], S.join_pos, S.inv_pos
-    masks = set()
-    for i, c in enumerate(jc):
-        bit = 1 << i
-        for j, p in enumerate(map(join_pos.get, map(or_, repeat(c), jc[i:])), i):
-            if p is not None:
-                masks.add(bit | 1 << j | 1 << inv[p])
-    return StarFamily.from_masks(S, masks, require_stars=False, name="profiles")
+
+    def triples():
+        for i, c in enumerate(jc):
+            bit = 1 << i
+            for j, p in enumerate(map(join_pos.get, map(or_, repeat(c), jc[i:])), i):
+                if p is not None:
+                    yield bit | 1 << j | 1 << inv[p]
+
+    return StarFamily.from_masks(S, triples(), require_stars=False, name="profiles")
 
 
 # -- enumeration --
@@ -449,7 +464,10 @@ def enumerate_tangles(S, family=None, caps=DEFAULT_CAPS):
     """All F-tangles of S (all consistent orientations when family is None).
 
     Depth-first over separations in canonical order with incremental
-    consistency masks and per-star countdown pruning; results come out in
+    consistency masks.  Each star is listed once, at its member whose
+    separation is tried last, and tested only when that member is chosen:
+    the star is complete iff its other members are chosen already, and
+    before that member is chosen it cannot be.  Results come out in
     canonical order regardless of search internals.
     """
     if len(S) > caps.max_unoriented:
@@ -459,27 +477,35 @@ def enumerate_tangles(S, family=None, caps=DEFAULT_CAPS):
         )
     pos = S.pos
     conflict = S.conflict_bits
-    trial = _sep_trial_order(S)
+    trial = [tuple(map(pos.__getitem__, options)) for options in _sep_trial_order(S)]
 
-    star_masks = []
+    stars_at = [[] for _ in range(len(S.oriented))]
     if family is not None:
         if family.system is not S and family.system.members != S.members:
             raise InputError("family is over a different system")
-        # Countdown pruning does not depend on the order of the stars.
         if family._masks is not None and family.system.oriented == S.oriented:
-            star_masks = list(family._masks)
+            star_masks = family._masks
         else:
             star_masks = [_mask_of(pos, sigma) for sigma in family.stars]
-        if any(m == 0 for m in star_masks):
+        if 0 in star_masks:
             return ()  # empty star excludes everything
-    stars_at = [[] for _ in range(len(S.oriented))]
-    for si, m in enumerate(star_masks):
-        mm = m
-        while mm:
-            b = mm & -mm
-            stars_at[b.bit_length() - 1].append(si)
-            mm ^= b
-    remaining = [m.bit_count() for m in star_masks]
+        # later[p]: the positions whose separations are tried after p's.
+        # A star goes to its member tried last: from any member p, keep
+        # the members tried after p until none is left.
+        later = [0] * len(S.oriented)
+        after = 0
+        for options in reversed(trial):
+            for p in options:
+                later[p] = after
+            for p in options:
+                after |= 1 << p
+        for m in star_masks:
+            p = m.bit_length() - 1
+            rest = m & later[p]
+            while rest:
+                p = rest.bit_length() - 1
+                rest &= later[p]
+            stars_at[p].append(m)
 
     # Iterative DFS: stack[d] = [index of the next option to try at depth
     # d, (position, saved forbidden mask) of the choice being explored].
@@ -509,24 +535,16 @@ def enumerate_tangles(S, family=None, caps=DEFAULT_CAPS):
         if frame[1] is not None:  # the subtree below this choice is done
             p, forbidden = frame[1]
             chosen ^= 1 << p
-            for si in stars_at[p]:
-                remaining[si] += 1
             frame[1] = None
         descend = False
         options = trial[len(stack) - 1]
         while frame[0] < len(options):
-            p = pos[options[frame[0]]]
+            p = options[frame[0]]
             frame[0] += 1
             if forbidden >> p & 1:
                 continue
-            dead = False
-            for si in stars_at[p]:
-                remaining[si] -= 1
-                if remaining[si] == 0:
-                    dead = True
-            if dead:
-                for si in stars_at[p]:
-                    remaining[si] += 1
+            # a star listed at p is complete iff it lies inside chosen + p
+            if not all(map((~(chosen | 1 << p)).__and__, stars_at[p])):
                 continue
             frame[1] = (p, forbidden)
             chosen |= 1 << p

@@ -14,6 +14,7 @@ from tangletree.core import (
     order_filtered_system,
     order_submodularity_violation,
     verify_universe_laws,
+    weighted_cut,
 )
 from tangletree.errors import InputError, UnsupportedOperationError
 
@@ -102,6 +103,92 @@ def test_bad_order_reported_at_first_mask(values, message):
     with pytest.raises(InputError) as err:
         BipartitionUniverse("abc", order_fn=lambda m: values.get(m, 0))
     assert str(err.value) == message
+
+
+def literal_cut(weights):
+    """The weighted cut as a sum over the weighted pairs, per mask."""
+    terms = [((1 << i) | (1 << j), w) for (i, j), w in weights.items() if w != 0]
+
+    def cut(mask):
+        return sum(w for pair, w in terms if 0 != mask & pair != pair)
+
+    return cut
+
+
+def _random_weights(rng, points):
+    """Seeded weights on some pairs of the points, zero and negative
+    ones, both orders of a pair and a pair of a point with itself
+    included."""
+    weights = {}
+    for _ in range(rng.randint(0, 2 * points)):
+        pair = (rng.randrange(points), rng.randrange(points))
+        weights[pair] = rng.choice((0, -7, 1, 3, 10**20, rng.randint(-40, 40)))
+    return weights
+
+
+def test_weighted_cut_matches_the_pair_sum():
+    rng = random.Random(12)
+    wider = 0
+    for points in [1, 2] * 10 + [3, 5, 8] * 20:
+        weights = _random_weights(rng, points)
+        # the ground may be wider than the largest weighted index
+        ground = points + rng.randint(0, 2)
+        wider += ground > points
+        cut, want = weighted_cut(weights), literal_cut(weights)
+        assert [cut(m) for m in range(1 << ground)] == [
+            want(m) for m in range(1 << ground)
+        ], weights
+    assert wider >= 20
+    assert weighted_cut({})(5) == 0 and weighted_cut({(0, 3): 0})(1) == 0
+
+
+def _visiting_order(points):
+    full = (1 << points) - 1
+    for a in range(1 << (points - 1)):
+        yield a
+        yield full ^ a
+
+
+def test_negative_cut_reported_at_the_first_mask_visited():
+    rng = random.Random(5)
+    raised = 0
+    for _ in range(40):
+        points = rng.randint(1, 6)
+        weights = _random_weights(rng, points)
+        want = literal_cut(weights)
+        first = next((m for m in _visiting_order(points) if want(m) < 0), None)
+        if first is None:
+            BipartitionUniverse(range(points), order_fn=weighted_cut(weights))
+            continue
+        with pytest.raises(InputError) as err:
+            BipartitionUniverse(range(points), order_fn=weighted_cut(weights))
+        assert str(err.value) == (
+            f"order values must be non-negative, got {want(first)}"
+        )
+        raised += 1
+    assert raised >= 10
+
+
+def test_equal_order_values_share_one_object():
+    def order(mask):
+        return Fraction(6, 2) if mask & 1 else 3
+
+    U = BipartitionUniverse("abc", order_fn=order)
+    assert len({id(U.order(x)) for x in U.elements()}) == 1
+    assert U.order(1) == 3 and type(U.order(1)) is Fraction
+    # one object per distinct value, in the cut's table and the universe's
+    weights = {(0, 1): 10**20, (1, 2): 10**20, (0, 2): 2 * 10**20}
+    cut = weighted_cut(weights)
+    assert cut(1) is cut(6) and cut(2) is cut(5)
+    U = BipartitionUniverse("abcd", order_fn=cut)
+    assert U.order(1) is U.order(6) is U.order(1 | 8)
+
+
+def test_a_float_equal_to_an_earlier_int_is_refused():
+    values = {0: 3, 7: 3, 1: 3.0}
+    with pytest.raises(InputError) as err:
+        BipartitionUniverse("abc", order_fn=lambda m: values.get(m, 0))
+    assert str(err.value) == "order values must be int or Fraction, got float 3.0"
 
 
 def test_cut_universe_order_is_submodular():
