@@ -332,9 +332,10 @@ class BipartitionUniverse(Universe):
     non-negative rationals and must be symmetric under complement.
 
     The order function is called once per mask, at construction, and its
-    values are kept in a table that order() reads.  The table holds 2^n
-    entries for n ground points, so its memory doubles with every point
-    up to the 24-point cap.
+    values are kept in a table that order() reads.  A mask and its
+    complement have the same order, so the table holds the 2^(n-1)
+    masks without the last of the n ground points, and its memory
+    doubles with every point up to the 24-point cap.
     """
 
     def __init__(self, ground, order_fn=None):
@@ -354,19 +355,23 @@ class BipartitionUniverse(Universe):
             # the same first bad value and first asymmetric mask as checking
             # every mask against its complement.  Each distinct value is
             # converted once and shared by every mask that has it, so the
-            # table costs about a pointer per mask and equal values are
-            # the same object.  A float never reaches the int lookup.
-            table = [None] * (self.full + 1)
+            # table costs about a pointer per mask it holds, and a mask and
+            # its complement agree iff they hold the same object.  A float
+            # never reaches the int lookup.
             values = {}  # each value seen, int or Fraction -> its Fraction
-            for a in range((self.full + 1) >> 1):
-                for m in (a, self.full ^ a):
-                    v = order_fn(m)
-                    f = values.get(v) if type(v) is int else None
-                    if f is None:
-                        f = _as_order(v)
-                        f = values.setdefault(f, f)
-                    table[m] = f
-                if table[a] is not table[self.full ^ a]:
+
+            def value(m):
+                v = order_fn(m)
+                f = values.get(v) if type(v) is int else None
+                if f is None:
+                    f = _as_order(v)
+                    f = values.setdefault(f, f)
+                return f
+
+            table = [None] * ((self.full + 1) >> 1)
+            for a in range(len(table)):
+                table[a] = value(a)
+                if value(self.full ^ a) is not table[a]:
                     raise InputError(
                         f"order not invariant under complement at mask {a:#x}"
                     )
@@ -400,7 +405,7 @@ class BipartitionUniverse(Universe):
         if self._order is None:
             raise UnsupportedOperationError("bipartition universe has no order")
         self.check_element(x)
-        return self._order[x]
+        return self._order[min(x, self.full ^ x)]
 
     def elements(self):
         return tuple(range(self.full + 1))
@@ -428,21 +433,40 @@ def weighted_cut(weights):
     """Order function of a weighted cut on ground-point indices.
 
     weights maps index pairs (i, j) to ints; the order of a mask is the
-    total weight of the pairs it separates.  The values are tabulated
-    once, over the masks of the points up to the largest index of a
-    nonzero weight, by doubling: for a mask m of points below i,
-    cut(m + i) = cut(m) + deg(i) - 2 w(i, m), so cut({i}) = deg(i), and
-    adding a point j < i to m adds cut(m + j) - cut(m) - 2 w(i, j).
-    Equal values share one int, so the table costs a pointer per mask.
+    total weight of the pairs it separates.  The values are tabulated at
+    the first call, not before, so a universe can refuse its ground set
+    before any of this work is done.  With n one more than the largest
+    index of a nonzero weight on two distinct points, a mask and its
+    complement in the n points have the same cut, so the table holds
+    only the 2^(n-1) masks without point n - 1.  It is filled by
+    doubling: for a mask m of points below i, cut(m + i) = cut(m) +
+    deg(i) - 2 w(i, m), so cut({i}) = deg(i), and adding a point j < i
+    to m adds cut(m + j) - cut(m) - 2 w(i, j).  Equal values share one
+    int, so the table costs a pointer per mask.
     """
-    n = 1 + max((max(pair) for pair, x in weights.items() if x), default=-1)
+    w = {(i, j): x for (i, j), x in weights.items() if x and i != j}
+    n = 1 + max(map(max, w), default=-1)
+    low = (1 << n) - 1
+    table = None
+
+    def cut(mask):
+        nonlocal table
+        if table is None:
+            table = _cut_table(n, w)
+        m = mask & low
+        return table[min(m, low ^ m)]
+
+    return cut
+
+
+def _cut_table(n, weights):
+    """The cuts of the masks of points 0 .. n - 2 among n points."""
     w = [[0] * n for _ in range(n)]
     for (i, j), x in weights.items():
-        if x and i != j:
-            w[i][j] += x
-            w[j][i] += x
-    table, shared = [0] * (1 << n), {}
-    for i, row in enumerate(w):
+        w[i][j] += x
+        w[j][i] += x
+    table, shared = [0] * max(1, 1 << n >> 1), {}
+    for i, row in enumerate(w[: n - 1]):
         # the masks m + i for m below i, written in place
         base, v = 1 << i, sum(row)
         table[base] = shared.setdefault(v, v)
@@ -451,12 +475,7 @@ def weighted_cut(weights):
             for m in range(lo):
                 v = table[base + m] + table[lo + m] - table[m] - twice
                 table[base + lo + m] = shared.setdefault(v, v)
-    low = len(table) - 1
-
-    def cut(mask):
-        return table[mask & low]
-
-    return cut
+    return table
 
 
 def bit_positions(m):

@@ -142,6 +142,33 @@ def test_weighted_cut_matches_the_pair_sum():
     assert weighted_cut({})(5) == 0 and weighted_cut({(0, 3): 0})(1) == 0
 
 
+def test_weighted_cut_is_tabulated_at_the_first_call_without_self_pairs():
+    # making the order function does no work, so a universe can refuse a
+    # ground set over its cap first; a self-pair separates nothing and
+    # does not widen the table (2^39 entries for index 40)
+    weighted_cut({(0, 45): 1})
+    cut = weighted_cut({(40, 40): 5, (0, 1): 2, (1, 0): 1})
+    assert [cut(m) for m in range(4)] == [0, 3, 3, 0]
+    assert cut(1 << 40) == 0 and cut(1 | 1 << 40) == 3
+
+
+def test_cut_universe_answers_every_mask_from_half_a_table():
+    # both tables keep only the masks without their last point
+    rng = random.Random(3)
+    for points in (1, 2, 3, 6):
+        weights = {
+            (i, j): rng.randint(0, 9)
+            for i in range(points)
+            for j in range(i + 1, points)
+        }
+        want = literal_cut(weights)
+        for ground in (points, points + 2):
+            U = BipartitionUniverse(range(ground), order_fn=weighted_cut(weights))
+            assert [U.order(m) for m in U.elements()] == [
+                want(m) for m in U.elements()
+            ]
+
+
 def _visiting_order(points):
     full = (1 << points) - 1
     for a in range(1 << (points - 1)):

@@ -76,6 +76,21 @@ def test_load_bipartition_with_weights():
     assert U.order(U.mask_of(["b"])) == 3
 
 
+def test_weighted_ground_over_the_cap_is_refused_before_any_cut_is_made():
+    # a weight on the last of 40 points: the cap is checked before the
+    # cut is tabulated, which would take 2^39 entries
+    ground = [f"p{i}" for i in range(40)]
+    with pytest.raises(InputError) as err:
+        io.load_universe(
+            {
+                "type": "bipartition",
+                "ground_set": ground,
+                "order_weights": {"p0,p39": 1, "p3,p38": 2},
+            }
+        )
+    assert str(err.value) == "ground set larger than the 24-point cap"
+
+
 def test_load_table_universe():
     U = io.load_universe(
         {
