@@ -94,13 +94,13 @@ def cmd_check(args):
         from .core import order_submodularity_violation
 
         if len(S.oriented) <= 120:
-            sample = sorted(S.oriented, key=U.sort_key)
+            sample = S.oriented
         else:
             # too many pairs for the exhaustive scan; seeded sample
             import random
 
             rng = random.Random(getattr(args, "seed", 0))
-            sample = rng.sample(sorted(S.oriented, key=U.sort_key), 120)
+            sample = rng.sample(S.oriented, 120)
         w = order_submodularity_violation(U, sample)
         checks.append(
             ("order-submodular", w is not None and "order fails submodularity")

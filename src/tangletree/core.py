@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import combinations, compress, repeat
-from operator import and_, or_
+from operator import add, and_, gt, or_
 
 from .errors import InputError, UnsupportedOperationError
 
@@ -76,6 +76,17 @@ class Universe:
 
     def order(self, x):
         raise UnsupportedOperationError("universe has no order function")
+
+    def code_orders(self, jcodes, mcodes):
+        """(jorder, morder): dicts from the given join codes and meet
+        codes (see lattice_codes) to the orders of their elements.  This
+        default reads every element's codes and order; bipartitions and
+        graph separations compute the order from the code instead."""
+        every = self.elements()
+        jc, mc = self.lattice_codes(every)
+        orders = list(map(self.order, every))
+        jo, mo = dict(zip(jc, orders)), dict(zip(mc, orders))
+        return {c: jo[c] for c in jcodes}, {c: mo[c] for c in mcodes}
 
     def elements(self):
         """All oriented elements, canonically sorted.  Finite backends only."""
@@ -406,6 +417,14 @@ class BipartitionUniverse(Universe):
             raise UnsupportedOperationError("bipartition universe has no order")
         self.check_element(x)
         return self._order[min(x, self.full ^ x)]
+
+    def code_orders(self, jcodes, mcodes):
+        # both codes are the mask itself
+        if self._order is None:
+            raise UnsupportedOperationError("bipartition universe has no order")
+        table, full = self._order, self.full
+        orders = {c: table[min(c, full ^ c)] for c in {*jcodes, *mcodes}}
+        return orders, orders
 
     def elements(self):
         return tuple(range(self.full + 1))
@@ -784,21 +803,50 @@ def order_filtered_system(universe, k, within=None) -> SeparationSystem:
 
 
 def order_submodularity_violation(universe, elems=None):
-    """First pair violating |r v s| + |r ^ s| <= |r| + |s|, else None."""
-    if not universe.has_order:
+    """First pair (r, s), r at or before s in sort_key order, violating
+    |r v s| + |r ^ s| <= |r| + |s|, else None.
+
+    Each row r is tested against its tail at once: the joins and meets
+    as OR/AND of lattice codes, their orders read from one call of
+    Universe.code_orders, and the sums compared as ints, every order
+    scaled by one common denominator.  Rows and tails run in sort_key
+    order, so the first row with a hit, at its first hit, gives the
+    first violating pair.
+    """
+    from math import lcm  # on use, so that the package's import does no more
+
+    U = universe
+    if not U.has_order:
         raise UnsupportedOperationError(
             "order submodularity needs an order function"
         )
     if elems is None:
-        elems = universe.elements()
-    elems = sorted(elems, key=universe.sort_key)
-    for i, r in enumerate(elems):
-        for s in elems[i:]:
-            lhs = universe.order(universe.join(r, s)) + universe.order(
-                universe.meet(r, s)
-            )
-            if lhs > universe.order(r) + universe.order(s):
-                return (r, s)
+        elems = U.elements()
+    elems = sorted(elems, key=U.sort_key)
+    for x in elems:
+        U.check_element(x)
+    jc, mc = U.lattice_codes(elems)
+    rows = range(len(elems))
+
+    def joins(i):
+        return map(or_, repeat(jc[i]), jc[i:])
+
+    def meets(i):
+        return map(and_, repeat(mc[i]), mc[i:])
+
+    jo, mo = U.code_orders(
+        set().union(*map(joins, rows)), set().union(*map(meets, rows))
+    )
+    den = lcm(*(v.denominator for v in (*jo.values(), *mo.values())))
+    jo = {c: v.numerator * (den // v.denominator) for c, v in jo.items()}
+    mo = {c: v.numerator * (den // v.denominator) for c, v in mo.items()}
+    own = list(map(jo.__getitem__, jc))  # each element is its own join
+    for i in rows:
+        lhs = map(add, map(jo.__getitem__, joins(i)), map(mo.__getitem__, meets(i)))
+        rhs = map(add, repeat(own[i]), own[i:])
+        j = next(compress(range(i, len(elems)), map(gt, lhs, rhs)), None)
+        if j is not None:
+            return elems[i], elems[j]
     return None
 
 

@@ -154,15 +154,17 @@ def shifting_closure_violation(S, family):
     rows); a star, as a mask, is in scope iff it avoids r*, lies in
     up[r] | down[r*] and meets up[r].  The shift onto s is a table of
     image bits (_shift_bits) and membership a lookup in the set of star
-    masks.
+    masks.  Each target's image table is built once per call, at its
+    first use, and serves every base the target emulates.
     """
     n = len(S.oriented)
-    pos, inv = S.pos, S.inv_pos
+    inv = S.inv_pos
     up, down = S.up_bits, S.down_bits
     strict_up, strict_down = S.strict_up_bits, S.strict_down_bits
     masks = family.masks_over(S)
     members = [list(bit_positions(m)) for m in masks]
     in_family = set(masks)
+    images = {}  # by target position, built on first use
     for ri in range(n):
         rbar = inv[ri]
         if rbar == ri or strict_up[ri] & strict_down[rbar]:
@@ -185,7 +187,9 @@ def shifting_closure_violation(S, family):
             si = b.bit_length() - 1
             if need & ~S.join_row(si)[1]:
                 continue
-            bits = _shift_bits(S, si)
+            if si not in images:
+                images[si] = _shift_bits(S, si)
+            bits = images[si]
             for k, code in scope:
                 img = 0
                 for x in code:
@@ -321,9 +325,10 @@ def _cover_fixpoint(S, family):
     Returns (masks, covered, roots): masks is the family in star order as
     masks of positions in S.oriented; covered[p] is (index of the witness
     star, time) once the member at position p is covered, else None;
-    roots is the set of indexes of the stars whose members' inverses are
-    all covered.  A star whose inverses are all covered covers its own
-    uncovered members in the order in which family.star iterates them.
+    roots holds one byte per star, 1 where all of the star's members'
+    inverses are covered, else 0.  A star whose inverses are all covered
+    covers its own uncovered members in the order in which family.star
+    iterates them.
     """
     masks = family.masks_over(S)
     pos, inv = S.pos, S.inv_pos
@@ -337,7 +342,7 @@ def _cover_fixpoint(S, family):
     need = [m.bit_count() for m in masks]
     covered = [None] * len(S.oriented)
     queue = []
-    roots = set()
+    roots = bytearray(len(masks))
     # the positions not yet covered, and those whose stars have not yet
     # counted them down, as bits
     uncovered = unpopped = (1 << len(S.oriented)) - 1
@@ -361,7 +366,7 @@ def _cover_fixpoint(S, family):
         if m & (m - 1):
             break
         if not m:
-            roots.add(si)
+            roots[si] = 1
         elif m & uncovered and covered[inv[m.bit_length() - 1]] is None:
             cover(si, m)
     head = 0
@@ -379,7 +384,7 @@ def _cover_fixpoint(S, family):
                 if left & uncovered and covered[inv[left.bit_length() - 1]] is None:
                     cover(si, left)
             else:
-                roots.add(si)
+                roots[si] = 1
                 left = masks[si] & uncovered
                 if left:
                     cover(si, left)
@@ -390,7 +395,7 @@ def _tree_from_cover(S, masks, covered, roots, caps):
     """Rebuild an S-tree over the family from cover certificates; masks
     are in star order, so the first root in star order is the least
     index, and members in position order are in sort_key order."""
-    root_si = min(roots)
+    root_si = roots.find(1)
     elems, inv = S.oriented, S.inv_pos
     alpha = {}
     counter = [0]
@@ -439,7 +444,7 @@ def duality_decide(S, family: StarFamily, caps=DEFAULT_CAPS, verify=True) -> Dua
         return DualityResult("tangle", tangle=tangles[0])
 
     masks, covered, roots = _cover_fixpoint(S, family)
-    if not roots:
+    if 1 not in roots:
         raise IntegrityError(
             "neither a tangle nor an S-tree exists; duality preconditions "
             "must have been violated"

@@ -163,6 +163,13 @@ class GraphUniverse(Universe):
     def order(self, x):
         return bin(x[0] & x[1]).count("1")
 
+    def code_orders(self, jcodes, mcodes):
+        # a code is A << n | (V - B): A & B is its high half AND the
+        # complement of its low half
+        n, full = self.graph.n, self.graph.full_mask
+        orders = {c: (c >> n & ~c & full).bit_count() for c in {*jcodes, *mcodes}}
+        return orders, orders
+
     def sort_key(self, x):
         return x
 

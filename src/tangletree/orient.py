@@ -9,8 +9,8 @@ on genuine stars.
 
 from bisect import bisect_left
 from dataclasses import dataclass
-from functools import cached_property
-from itertools import combinations, groupby, product, repeat
+from functools import cached_property, reduce
+from itertools import combinations, compress, groupby, product, repeat
 from operator import itemgetter, or_
 
 from .config import DEFAULT_CAPS
@@ -287,28 +287,43 @@ class StarFamily:
     def closed_under_shifting(self) -> bool:
         return self._closed_under_shifting
 
-    def _lacks_inverse_singleton(self, x):
-        return (self.system.universe.invert(x),) not in self
+    @cached_property
+    def _singleton_bits(self):
+        """The positions in system.oriented whose singleton is a member,
+        as bits, collected without sorting the family."""
+        if self._masks is None:
+            pos = self.system.pos
+            ones = (1 << pos[x] for sigma in self.stars if len(sigma) == 1
+                    for x in sigma)
+        else:
+            masks = self._masks
+            ones = compress(masks, map((1).__eq__, map(int.bit_count, masks)))
+        return reduce(or_, ones, 0)
+
+    def _first_lacking(self, test):
+        """First member x in S.oriented, at a position i with test(i) true,
+        whose inverse singleton {x*} the family lacks, else None."""
+        S = self.system
+        single, inv = self._singleton_bits, S.inv_pos
+        return next(
+            (x for i, x in enumerate(S.oriented)
+             if not single >> inv[i] & 1 and test(i)),
+            None,
+        )
 
     @cached_property
     def missing_trivial_singleton(self):
         """First trivial member whose inverse singleton the family lacks
         (a standard family has none), else None."""
-        S = self.system
-        return next(
-            (x for x in S.oriented
-             if self._lacks_inverse_singleton(x) and S.classify(x).trivial),
-            None,
-        )
+        return self._first_lacking(self.system._trivial_witnesses)
 
     @cached_property
     def missing_small_singleton(self):
-        """First small member whose inverse singleton the family lacks,
-        else None."""
-        return next(
-            filter(self._lacks_inverse_singleton, self.system.small_members()),
-            None,
-        )
+        """First small member (x <= x*) whose inverse singleton the family
+        lacks, else None."""
+        S = self.system
+        up, inv = S.up_bits, S.inv_pos
+        return self._first_lacking(lambda i: up[i] >> inv[i] & 1)
 
     def __iter__(self):
         """The members as frozensets, in star order."""

@@ -67,6 +67,52 @@ def test_check_reports_violation(capsys, tmp_path):
     assert "violation: graph-connected" in out
 
 
+def test_check_reports_a_non_submodular_order(capsys, tmp_path):
+    # the square bot < a, b < top, with top and bot of order 1/2 and a
+    # and b of 1/3: a v b and a ^ b sum to 1, a and b to 2/3
+    f = tmp_path / "square.json"
+    f.write_text(json.dumps({
+        "type": "table",
+        "elements": ["bot", "a", "b", "top"],
+        "involution": [3, 2, 1, 0],
+        "leq_pairs": [[0, 1], [0, 2], [1, 3], [2, 3]],
+        "order": ["1/2", "1/3", "1/3", "1/2"],
+    }))
+    code, out, _ = run(capsys, "check", str(f))
+    assert code == 1
+    lines = out.splitlines()
+    assert "violation: order-submodular: order fails submodularity" in lines
+    assert "ok: system-submodular" in lines
+    assert "system: 2 separations, 4 oriented" in lines
+
+
+def test_check_samples_the_order_scan_by_seed(capsys, tmp_path, monkeypatch):
+    # the path on seven vertices has 128 oriented separations of order
+    # below 3, more than the 120 that check scans exhaustively
+    f = tmp_path / "p7.txt"
+    f.write_text("".join(f"v{i} v{i + 1}\n" for i in range(6)))
+    from tangletree import core
+
+    scanned = []
+    scan = core.order_submodularity_violation
+
+    def recording(U, elems):
+        scanned.append(list(elems))
+        return scan(U, elems)
+
+    monkeypatch.setattr(core, "order_submodularity_violation", recording)
+    outs = [
+        run(capsys, "check", str(f), "--k", "3", "--max-seps", "200", "--seed", seed)
+        for seed in ("4", "4", "5")
+    ]
+    assert outs[0] == outs[1]
+    assert outs[0][0] == 0 and "ok: order-submodular" in outs[0][1]
+    assert "system: 64 separations, 128 oriented" in outs[0][1]
+    assert [len(s) for s in scanned] == [120, 120, 120]
+    assert scanned[0] == scanned[1] != scanned[2]
+    assert len(set(scanned[0])) == 120
+
+
 def test_missing_k_is_input_error(capsys, path4):
     code, _, err = run(capsys, "tangles", path4)
     assert code == 2

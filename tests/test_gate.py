@@ -244,6 +244,26 @@ def test_refined_tree_runs_full_submodularity_once(monkeypatch):
     assert len(runs) == 1
 
 
+def test_the_gate_builds_no_set_of_the_family():
+    # the singleton questions read one bitset; the member set of a mask
+    # family is built only when membership is asked
+    for k, edges in ((2, triangle_tripod_edges()), (3, _glued_triangles(6))):
+        G = graphsep.Graph.from_edges(edges)
+        S = graphsep.graph_separation_system(G, k, BIG_CAPS)
+        fam = graphsep.tk_star_family(G, k, S, BIG_CAPS)
+        duality.preconditions(S, fam, BIG_CAPS, regular=True)
+        assert fam.missing_trivial_singleton is None
+        assert fam.missing_small_singleton is None
+        assert "_mask_set" not in vars(fam)
+
+
+def _glued_triangles(count):
+    return [
+        edge for b in range(count)
+        for edge in (("hub", f"t{b}a"), ("hub", f"t{b}b"), (f"t{b}a", f"t{b}b"))
+    ]
+
+
 def test_closure_declaration_is_fixed_at_construction():
     _, S, fam = _tripod()
     with pytest.raises(AttributeError):

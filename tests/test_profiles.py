@@ -470,6 +470,44 @@ def test_missing_singletons_match_the_loop():
     assert missing >= 20
 
 
+def test_singleton_scans_match_a_literal_scan():
+    """Both singleton properties against the scan over S.oriented with
+    classify and leq: on the profile families of SYSTEMS, read without
+    sorting the family, and on frozenset-built families holding each
+    singleton at random and a few of the profile triples."""
+    rng = random.Random(14)
+    missing = 0
+    for S in SYSTEMS:
+        U = S.universe
+        profiles = orient.profile_star_family(S)
+        singles = [frozenset((x,)) for x in S.oriented]
+        triples = sorted(profiles.stars, key=sorted)[:5]
+        families = [profiles] + [
+            orient.StarFamily(
+                S, [t for t in singles if rng.random() < keep] + triples,
+                require_stars=False,
+            )
+            for keep in (0.5, 0.9, 1.0)
+        ]
+        for fam in families:
+            got = (fam.missing_trivial_singleton, fam.missing_small_singleton)
+            assert "masks_sorted" not in vars(fam)
+            stars = fam.stars
+
+            def lacking(x):
+                return frozenset((U.invert(x),)) not in stars
+
+            want = (
+                next((x for x in S.oriented
+                      if lacking(x) and literal_classify(S, x).trivial), None),
+                next((x for x in S.oriented
+                      if lacking(x) and U.leq(x, U.invert(x))), None),
+            )
+            assert got == want
+            missing += want != (None, None)
+    assert missing >= 40
+
+
 class _Reversed(BipartitionUniverse):
     def sort_key(self, x):
         return -x
