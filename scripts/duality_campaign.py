@@ -16,19 +16,6 @@ from tangletree.config import Caps
 CAPS = Caps(max_unoriented=64)
 
 
-def literal_tangles(S, family):
-    U = S.universe
-    reps = S.separations
-    found = []
-    for bits in range(1 << len(reps)):
-        O = frozenset(
-            U.invert(r) if bits >> i & 1 else r for i, r in enumerate(reps)
-        )
-        if orient.f_tangle_violation(S, O, family) is None:
-            found.append(O)
-    return found
-
-
 def main():
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--instances", type=int, default=200)
@@ -55,7 +42,8 @@ def main():
         res = duality.duality_decide(S, fam, CAPS)
         kinds[res.kind] += 1
         if args.oracle:
-            lit = literal_tangles(S, fam)
+            lit = [O for O in orient.all_orientations(S, CAPS)
+                   if orient.f_tangle_violation(S, O, fam) is None]
             if res.kind == "tangle":
                 assert res.tangle in lit, f"seed {seed - 1}: tangle not real"
             else:

@@ -179,7 +179,7 @@ def load_family(obj, S) -> StarFamily:
     stars = []
     for raw in _field(obj, "stars", list):
         _checked(raw, list, "star")
-        stars.append(frozenset(element_from_json(S.universe, it) for it in raw))
+        stars.append([element_from_json(S.universe, it) for it in raw])
     return StarFamily(S, stars, require_stars=False, name="file")
 
 

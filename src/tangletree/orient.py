@@ -210,41 +210,38 @@ class StarFamily:
     construction, that the family is closed under shifting; the duality
     gate trusts it only where the exhaustive check is out of reach.
 
-    from_masks builds a family from masks of positions in
-    system.oriented; it keeps the masks, answers membership, length and
-    iteration from them, and builds the frozensets of `stars` only on
-    first use.  A family built from frozensets keeps no masks.
+    Every family keeps its members as masks of positions in
+    system.oriented.  The constructor takes sets of members: it checks
+    every element with system.check_member, maps each set to its mask,
+    and keeps the masks as from_masks keeps a tuple of them.  With
+    require_stars, the first set in the order given that is not a star
+    raises InputError with star_violation's witness, once every element
+    has passed check_member.  Membership, length and iteration are
+    answered from the masks; the frozensets of `stars` are built only on
+    first use.
     """
-
-    _masks = None
 
     def __init__(self, system, stars, require_stars=True, name=None,
                  closed_under_shifting=False):
-        self.system = system
-        self.name = name
-        self._closed_under_shifting = bool(closed_under_shifting)
-        U = system.universe
-        fam = set()
+        pos, check = system.pos, system.check_member
+        masks = []
         for sigma in stars:
-            sigma = frozenset(sigma)
+            m = 0
             for x in sigma:
-                system.check_member(x)
-            if require_stars:
-                bad = star_violation(U, sigma)
-                if bad is not None:
-                    raise InputError(f"family member is not a star: {bad}")
-            fam.add(sigma)
-        self.stars = frozenset(fam)
-        # with require_stars every member has just passed star_violation
-        self.stars_only = require_stars or all(is_star(U, s) for s in self.stars)
+                check(x)
+                m |= 1 << pos[x]
+            masks.append(m)
+        self._keep(system, tuple(masks), masks, require_stars, name,
+                   closed_under_shifting)
 
     @classmethod
     def from_masks(cls, system, masks, require_stars=True, name=None,
                    closed_under_shifting=False):
         """The family whose members are the given masks of positions in
-        system.oriented, repeats dropped.  When require_stars is set, the
-        first kept mask that is not a star raises InputError with
-        star_violation's witness.
+        system.oriented, repeats dropped.  A mask with a position past
+        the end of system.oriented raises InputError.  When require_stars
+        is set, the first kept mask that is not a star raises InputError
+        with star_violation's witness.
 
         The masks are kept as a tuple.  A set of them, whose table alone
         is about as large as the masks and the tuple together, is built
@@ -253,6 +250,14 @@ class StarFamily:
         order, as masks_sorted too; any other input is sorted by value,
         which drops the repeats, and into star order on first use."""
         self = cls.__new__(cls)
+        self._keep(system, masks, None, require_stars, name,
+                   closed_under_shifting)
+        return self
+
+    def _keep(self, system, masks, given, require_stars, name,
+              closed_under_shifting):
+        """Keep the masks as from_masks describes.  A non-star is named
+        in the order of given, or of the kept masks when given is None."""
         self.system = system
         self.name = name
         self._closed_under_shifting = bool(closed_under_shifting)
@@ -260,8 +265,11 @@ class StarFamily:
             self._masks = self.masks_sorted = tuple(masks)
         else:
             self._masks = tuple(map(itemgetter(0), groupby(sorted(masks))))
+        if max(self._masks, default=0) >> len(system.oriented):
+            raise InputError("family mask holds a position outside the system")
         if require_stars and not _all_star_masks(system, self._masks):
-            bad = next(m for m in self._masks if not _is_star_mask(system, m))
+            bad = next(m for m in given or self._masks
+                       if not _is_star_mask(system, m))
             raise InputError(
                 "family member is not a star: "
                 f"{star_violation(system.universe, self._star_of(bad))}"
@@ -269,7 +277,6 @@ class StarFamily:
         self.stars_only = require_stars or all(
             _is_star_mask(system, m) for m in self._masks
         )
-        return self
 
     @cached_property
     def _mask_set(self):
@@ -291,13 +298,8 @@ class StarFamily:
     def _singleton_bits(self):
         """The positions in system.oriented whose singleton is a member,
         as bits, collected without sorting the family."""
-        if self._masks is None:
-            pos = self.system.pos
-            ones = (1 << pos[x] for sigma in self.stars if len(sigma) == 1
-                    for x in sigma)
-        else:
-            masks = self._masks
-            ones = compress(masks, map((1).__eq__, map(int.bit_count, masks)))
+        masks = self._masks
+        ones = compress(masks, map((1).__eq__, map(int.bit_count, masks)))
         return reduce(or_, ones, 0)
 
     def _first_lacking(self, test):
@@ -327,16 +329,12 @@ class StarFamily:
 
     def __iter__(self):
         """The members as frozensets, in star order."""
-        if self._masks is None:
-            return iter(self.stars_sorted)
         return map(self._star_of, self.masks_sorted)
 
     def __len__(self):
-        return len(self.stars if self._masks is None else self._masks)
+        return len(self._masks)
 
     def __contains__(self, sigma):
-        if self._masks is None:
-            return frozenset(sigma) in self.stars
         try:
             return _mask_of(self.system.pos, sigma) in self._mask_set
         except KeyError:  # not a set of members
@@ -344,32 +342,28 @@ class StarFamily:
 
     @cached_property
     def stars_sorted(self):
-        if self._masks is None:
-            return tuple(sorted(self.stars, key=star_order(self.system)))
         return tuple(self)
 
     @cached_property
     def masks_sorted(self):
         """The members as masks of positions in system.oriented, in star
         order."""
-        if self._masks is None:
-            pos = self.system.pos
-            return tuple(_mask_of(pos, sigma) for sigma in self.stars_sorted)
         return tuple(sorted(self._masks, key=mask_order(self.system)))
 
-    def masks_over(self, S):
-        """masks_sorted as masks of positions in S.oriented, for a system
-        S with the family's members."""
+    def masks_over(self, S, kept=False):
+        """masks_sorted, or with kept the masks in the order the family
+        keeps them (no sort), as masks of positions in S.oriented, for a
+        system S with the family's members."""
+        masks = self._masks if kept else self.masks_sorted
         if S.oriented == self.system.oriented:
-            return self.masks_sorted
-        return tuple(_mask_of(S.pos, sigma) for sigma in self)
+            return masks
+        pos, star_of = S.pos, self._star_of
+        return tuple(_mask_of(pos, star_of(m)) for m in masks)
 
     def star(self, i):
-        """The i-th member in star order, as a frozenset.  A member of a
-        family built from masks is built by inserting its members in
-        position order, which fixes the order in which it iterates."""
-        if self._masks is None:
-            return self.stars_sorted[i]
+        """The i-th member in star order, as a frozenset built by inserting
+        its members in position order, which fixes the order in which it
+        iterates."""
         return self._star_of(self.masks_sorted[i])
 
     def star_key(self, sigma):
@@ -379,19 +373,14 @@ class StarFamily:
         """New family with the given stars added; only those are checked.
 
         The base must be made of stars, and the result declares no
-        closure under shifting.  The extension of a family built from
-        masks is built from masks, its star order merged from the base's.
+        closure under shifting.  Its star order is merged from the base's.
         """
         if not self.stars_only:
             raise InputError("only a family of stars can be extended")
         S = self.system
         out = StarFamily(S, (s for s in extra if s not in self), name=name)
-        if self._masks is None:
-            out.stars |= self.stars
-            return out
         key = mask_order(S)
-        added = sorted((_mask_of(S.pos, s) for s in out.stars), key=key)
-        del out.stars  # built from the masks on first use
+        added = sorted(out._masks, key=key)
         out._masks = self._masks + tuple(added)
         base, merged, lo = self.masks_sorted, [], 0
         for m in added:
@@ -498,10 +487,7 @@ def enumerate_tangles(S, family=None, caps=DEFAULT_CAPS):
     if family is not None:
         if family.system is not S and family.system.members != S.members:
             raise InputError("family is over a different system")
-        if family._masks is not None and family.system.oriented == S.oriented:
-            star_masks = family._masks
-        else:
-            star_masks = [_mask_of(pos, sigma) for sigma in family.stars]
+        star_masks = family.masks_over(S, kept=True)
         if 0 in star_masks:
             return ()  # empty star excludes everything
         # later[p]: the positions whose separations are tried after p's.
@@ -652,13 +638,12 @@ class FamilyReport:
     closed_under_shifting: object = None  # a shift verdict when known
 
 
-def check_star_family(family, closed_under_shifting=None, caps=DEFAULT_CAPS) -> FamilyReport:
+def check_star_family(family, closed_under_shifting=None) -> FamilyReport:
     """Standardness and the regularity singletons, from the facts the
     family keeps (see StarFamily.missing_trivial_singleton).
 
     Closure under shifting is the duality gate's job; pass its verdict in
-    (or leave None for an unknown one).  caps is accepted and unused: the
-    report runs no search.
+    (or leave None for an unknown one).
     """
     return FamilyReport(
         standard=family.missing_trivial_singleton is None,

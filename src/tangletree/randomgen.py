@@ -114,7 +114,9 @@ def random_shift_closed_family(rng: random.Random, S, upsets=1, stars=1, repair_
     for _ in range(repair_limit):
         bad = duality.shifting_closure_violation(S, fam)
         if bad is None:
-            return StarFamily(S, fam.stars, closed_under_shifting=True)
+            return StarFamily.from_masks(
+                S, list(fam.masks_sorted), closed_under_shifting=True
+            )
         s, r, sigma = bad
         img = duality.ShiftMap(S, r, s).apply_star(sigma)
         try:

@@ -47,16 +47,8 @@ def verdict(label_fn):
 
 def literal_tangles(S, family):
     """Unpruned 2^|S| oracle: try every orientation, keep the tangles."""
-    U = S.universe
-    reps = S.separations
-    found = []
-    for bits in range(1 << len(reps)):
-        O = frozenset(
-            U.invert(r) if bits >> i & 1 else r for i, r in enumerate(reps)
-        )
-        if orient.f_tangle_violation(S, O, family) is None:
-            found.append(O)
-    return found
+    return [O for O in orient.all_orientations(S, CAPS)
+            if orient.f_tangle_violation(S, O, family) is None]
 
 
 # -- shared corpus --

@@ -275,16 +275,16 @@ def test_closure_declaration_is_fixed_at_construction():
 def test_extended_checks_only_the_added_stars(monkeypatch, u4, s4):
     fam = orient.StarFamily(s4, [frozenset((0,)), frozenset((u4.mask_of(["a"]),))])
     calls = []
-    star_violation = orient.star_violation
+    all_star_masks = orient._all_star_masks
 
-    def counting(U, sigma):
-        calls.append(sigma)
-        return star_violation(U, sigma)
+    def counting(S, masks):
+        calls.append(tuple(masks))
+        return all_star_masks(S, masks)
 
-    monkeypatch.setattr(orient, "star_violation", counting)
+    monkeypatch.setattr(orient, "_all_star_masks", counting)
     new = frozenset((u4.mask_of(["b"]),))
     bigger = fam.extended([new, frozenset((0,))])
-    assert calls == [new]
+    assert calls == [(orient._mask_of(s4.pos, new),)]
     assert bigger.stars == fam.stars | {new}
     with pytest.raises(InputError):
         fam.extended([frozenset((u4.mask_of(["a", "b"]), u4.mask_of(["a", "c"])))])

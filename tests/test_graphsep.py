@@ -160,7 +160,7 @@ def test_tk_star_family_rejects_large_k(p3_graph):
 def test_tk_star_family_is_standard(p3_graph):
     S = graphsep.graph_separation_system(p3_graph, 2, BIG_CAPS)
     fam = graphsep.tk_star_family(p3_graph, 2, S, BIG_CAPS)
-    report = orient.check_star_family(fam, caps=BIG_CAPS)
+    report = orient.check_star_family(fam)
     assert report.standard
 
 
@@ -247,15 +247,8 @@ def test_triangle_tripod_matches_literal_oracle(triangle_tripod):
     # |S| = 11 here, so the 2^|S| loop is an honest independent oracle
     G, S, fam = triangle_tripod
     tangles = orient.enumerate_tangles(S, fam, BIG_CAPS)
-    U = S.universe
-    reps = S.separations
-    literal = []
-    for bits in range(1 << len(reps)):
-        O = frozenset(
-            U.invert(r) if bits >> i & 1 else r for i, r in enumerate(reps)
-        )
-        if orient.f_tangle_violation(S, O, fam) is None:
-            literal.append(O)
+    literal = [O for O in orient.all_orientations(S, BIG_CAPS)
+               if orient.f_tangle_violation(S, O, fam) is None]
     assert set(literal) == set(tangles)
     assert len(literal) == 3
 

@@ -11,6 +11,7 @@ import random
 from dataclasses import replace
 
 import pytest
+from hypothesis import given, strategies as st
 
 from tangletree import canonical, graphsep, orient, randomgen
 from tangletree.core import (
@@ -434,15 +435,103 @@ def test_mask_and_frozenset_families_agree():
     assert searched >= 5 and refused >= 1
 
 
+def _small_stars(S):
+    """The star masks of S of at most two members."""
+    n = len(S.oriented)
+    ones = [1 << i for i in range(n)]
+    pairs = [a | b for a, b in itertools.combinations(ones, 2)]
+    return [m for m in [0] + ones + pairs if orient._is_star_mask(S, m)]
+
+
+# systems, each with an element of its universe outside it, or None
+AGREE_CASES = [
+    (S, next((x for x in S.universe.elements() if x not in S.members), None))
+    for S in SYSTEMS[::3]
+]
+
+
+@given(st.data())
+def test_the_constructor_and_from_masks_agree(data):
+    """Lists of member sets with repeats, the empty set and non-stars,
+    given to the constructor as sets and to from_masks as masks: the
+    families agree, or each names its documented witness, the first
+    non-star in the order given or in the kept order; a member outside
+    the system raises InputError from both."""
+    S, outside = data.draw(st.sampled_from(AGREE_CASES), label="system")
+    U, n = S.universe, len(S.oriented)
+    any_mask = st.sets(st.integers(0, n - 1), max_size=3).map(
+        lambda ps: sum(1 << p for p in ps)
+    )
+    pool = data.draw(st.lists(st.sampled_from(_small_stars(S)) | any_mask,
+                              min_size=1, max_size=6), label="pool")
+    masks = data.draw(st.lists(st.sampled_from(pool), max_size=10), label="masks")
+    require_stars = data.draw(st.booleans(), label="require_stars")
+    sets = [_star_of(S, m) for m in masks]
+
+    if outside is not None and data.draw(st.booleans(), label="non-member"):
+        at = data.draw(st.integers(0, len(sets)), label="at")
+        with pytest.raises(InputError, match="is not in the system"):
+            orient.StarFamily(S, sets[:at] + [{outside}] + sets[at:],
+                              require_stars=require_stars)
+        with pytest.raises(InputError, match="outside the system"):
+            orient.StarFamily.from_masks(S, masks[:at] + [1 << n] + masks[at:],
+                                         require_stars=require_stars)
+        return
+
+    bad = [s for s in sets if orient.star_violation(U, s) is not None]
+    if require_stars and bad:
+        kept = masks if orient._in_star_order(masks) else sorted(set(masks))
+        first_kept = next(_star_of(S, m) for m in kept
+                          if orient.star_violation(U, _star_of(S, m)) is not None)
+        for build, first in (
+            (lambda: orient.StarFamily(S, sets), bad[0]),
+            (lambda: orient.StarFamily.from_masks(S, masks), first_kept),
+        ):
+            with pytest.raises(InputError) as err:
+                build()
+            assert str(err.value) == (
+                f"family member is not a star: {orient.star_violation(U, first)}"
+            )
+        return
+
+    a = orient.StarFamily(S, sets, require_stars=require_stars)
+    b = orient.StarFamily.from_masks(S, masks, require_stars=require_stars)
+    assert a.masks_sorted == b.masks_sorted
+    assert a.stars_sorted == b.stars_sorted
+    assert len(a) == len(b) == len(set(masks))
+    assert a.stars_only == b.stars_only == (require_stars or not bad)
+    for sigma in sets + [frozenset(S.oriented), {outside}]:
+        assert (sigma in a) == (sigma in b) == (sigma in sets)
+    assert a.missing_trivial_singleton == b.missing_trivial_singleton
+    assert a.missing_small_singleton == b.missing_small_singleton
+
+
+def test_each_path_names_its_own_first_non_star(s4):
+    """Two non-stars out of star order: the constructor names the first
+    as given, from_masks the first of the masks it keeps sorted."""
+    U = s4.universe
+    given = [frozenset((2, 6)), frozenset((1, 3))]
+    masks = [_mask(s4, sigma) for sigma in given]
+    assert masks[0] > masks[1] and not orient._in_star_order(masks)
+    for build, first in (
+        (lambda: orient.StarFamily(s4, given), given[0]),
+        (lambda: orient.StarFamily.from_masks(s4, masks), given[1]),
+    ):
+        with pytest.raises(InputError) as err:
+            build()
+        assert str(err.value) == (
+            f"family member is not a star: {orient.star_violation(U, first)}"
+        )
+
+
 def test_a_shuffled_copy_of_a_profile_family_searches_alike():
     searched = 0
     for S in SYSTEMS[::2]:
         fam = orient.profile_star_family(S)
         shuffled = copy.copy(fam)
-        shuffled._masks = None
-        stars = sorted(fam.stars, key=sorted)
-        random.Random(len(stars)).shuffle(stars)
-        shuffled.stars = tuple(stars)
+        masks = list(fam._masks)
+        random.Random(len(masks)).shuffle(masks)
+        shuffled._masks = tuple(masks)
         tangles = orient.enumerate_tangles(S, fam, BIG_CAPS)
         assert orient.enumerate_tangles(S, shuffled, BIG_CAPS) == tangles
         states = _trip_point(S, fam, "max_states", BIG_CAPS.max_states)
@@ -538,8 +627,11 @@ def test_the_profile_pipeline_keeps_no_frozensets_and_no_join_rows():
     assert "_join_rows" not in vars(S)
 
 
-def test_a_frozenset_family_keeps_no_masks(triangle_tripod):
+def test_a_frozenset_family_keeps_the_masks_of_from_masks(triangle_tripod):
     _, S, tk = triangle_tripod
     fam = orient.StarFamily(S, tk.stars)
+    by_masks = orient.StarFamily.from_masks(S, [_mask(S, t) for t in tk.stars])
     orient.enumerate_tangles(S, fam, BIG_CAPS)
-    assert fam._masks is None and "_masks" not in vars(fam)
+    assert fam._masks == by_masks._masks
+    assert fam.masks_sorted == by_masks.masks_sorted == tk.masks_sorted
+    assert "stars" not in vars(fam)

@@ -36,8 +36,10 @@ def countdown_search(S, family=None, caps=BIG_CAPS):
     if family is not None:
         if family.system is not S and family.system.members != S.members:
             raise InputError("family is over a different system")
-        # Countdown pruning does not depend on the order of the stars.
-        if family._masks is not None and family.system.oriented == S.oriented:
+        # Countdown pruning does not depend on the order of the stars.  A
+        # family over the same members in another order is remapped
+        # through its frozensets.
+        if family.system.oriented == S.oriented:
             star_masks = list(family._masks)
         else:
             star_masks = [orient._mask_of(pos, sigma) for sigma in family.stars]

@@ -6,7 +6,9 @@ StarFamily.from_masks against the per-mask scan, and what a mask family
 keeps after duality and refinement."""
 
 import functools
+import itertools
 import random
+from types import SimpleNamespace
 
 import pytest
 
@@ -261,7 +263,8 @@ def test_tk_star_masks_match_the_frozenset_family():
     sizes = set()
     for label, old, new in PAIRS:
         S = new.system
-        assert new._masks is not None and old._masks is None, label
+        assert new._masks is not None and old._masks is not None, label
+        assert sorted(new._masks) == list(old._masks), label
         assert new.closed_under_shifting and new.stars_only
         assert new.name == old.name
         assert "masks_sorted" in vars(new), label  # kept as generated
@@ -286,7 +289,8 @@ def extended_pairs():
 
 def test_extensions_match_the_frozenset_family():
     for label, old, new in extended_pairs():
-        assert new._masks is not None and old._masks is None, label
+        assert new._masks is not None and old._masks is not None, label
+        assert sorted(new._masks) == sorted(old._masks), label
         assert tuple(new) == old.stars_sorted
         assert len(new) == len(old) and not new.closed_under_shifting
     label, old, new = PAIRS[0]
@@ -372,6 +376,40 @@ def test_the_fixpoint_reads_a_family_over_another_order():
         trees += _compare_fixpoints(S, by_sets, by_masks)
         trees += _compare_fixpoints(S, by_sets, by_sets)
     assert trees >= 4
+
+
+def test_a_star_given_out_of_position_order_fires_in_position_order():
+    """A star fires its members in the order in which the frozenset built
+    by inserting them in position order iterates them, whatever order it
+    was given in.  On 6 points the members are the masks themselves, and
+    pairwise disjoint masks that collide in a 3-member set's table (equal
+    mod 8) are multiples of 8; there, insertion order decides the
+    iteration order, and so the times in the covered map."""
+    S = SeparationSystem(BipartitionUniverse("pqrstu"), range(64))
+    key = orient.star_order(S)
+    colliding = [
+        t for t in itertools.combinations(range(64), 3)
+        if orient.is_star(S.universe, t) and len({x % 8 for x in t}) < 3
+    ]
+    reordered = trees = 0
+    for seed in range(16):
+        rng = random.Random(seed)
+        given = [t[::-1] for t in rng.sample(colliding, 12)]
+        given += [(x,) for x in range(64) if rng.random() < 0.5]
+        rng.shuffle(given)
+        fam = orient.StarFamily(S, map(frozenset, given))
+        by_position = sorted({frozenset(t): t[::-1] for t in given}.values(), key=key)
+        literal = SimpleNamespace(stars_sorted=tuple(map(frozenset, by_position)))
+        as_given = SimpleNamespace(stars_sorted=tuple(
+            frozenset(t[::-1]) for t in by_position
+        ))
+        for i, sigma in enumerate(literal.stars_sorted):
+            assert list(fam.star(i)) == list(sigma)
+        trees += _compare_fixpoints(S, literal, fam)
+        # the loop over the stars as given fires some of them otherwise
+        reordered += (literal_cover_fixpoint(S, as_given)[1]
+                      != literal_cover_fixpoint(S, literal)[1])
+    assert trees >= 10 and reordered >= 2
 
 
 # -- what a mask family keeps --
