@@ -355,6 +355,8 @@ class BipartitionUniverse(Universe):
             raise InputError("ground set must be nonempty")
         if len(set(ground)) != len(ground):
             raise InputError("ground set has repeated names")
+        if len(set(map(str, ground))) != len(ground):
+            raise InputError("two ground points print alike, as 1 and '1' do")
         if len(ground) > 24:
             raise InputError("ground set larger than the 24-point cap")
         self.ground = ground
@@ -445,7 +447,7 @@ class BipartitionUniverse(Universe):
         return tuple(g for i, g in enumerate(self.ground) if mask >> i & 1)
 
     def format_element(self, x):
-        return "{" + ",".join(self.names_of(x)) + "}"
+        return "{" + ",".join(map(str, self.names_of(x))) + "}"
 
 
 def weighted_cut(weights):
@@ -601,10 +603,19 @@ class SeparationSystem:
         )
 
     def check_member(self, x):
-        if x not in self.members:
-            raise InputError(
-                f"{self.universe.format_element(x)} is not in the system"
-            )
+        """InputError unless x is a member; a value of another type, or
+        an unhashable one, is not, and is shown by repr where the
+        universe cannot format it."""
+        try:
+            if x in self.members:
+                return
+        except TypeError:  # unhashable
+            pass
+        try:
+            shown = self.universe.format_element(x)
+        except (TypeError, ValueError, LookupError, AttributeError):
+            shown = repr(x)
+        raise InputError(f"{shown} is not in the system")
 
     # -- positional index and bit tables (built on demand) --
 

@@ -30,6 +30,8 @@ class Graph:
         self.n = len(self.vertices)
         if self.n > 63:
             raise InputError("graphs this large are not supported")
+        if len(set(map(str, self.vertices))) < self.n:
+            raise InputError("two vertex names print alike, as 1 and '1' do")
         self._index = {v: i for i, v in enumerate(self.vertices)}
         es = set()
         for u, v in edges:
@@ -38,9 +40,11 @@ class Graph:
             if u not in self._index or v not in self._index:
                 raise InputError(f"edge endpoint outside the vertex set: {u, v}")
             es.add(frozenset((u, v)))
-        self.edges = tuple(
-            sorted((tuple(sorted(e, key=str)) for e in es))
-        )
+        # names may mix ints and strings: ints first, each kind in its order
+        self.edges = tuple(sorted(
+            (tuple(sorted(e, key=str)) for e in es),
+            key=lambda e: [(isinstance(v, str), v) for v in e],
+        ))
         self.adj = [0] * self.n
         for u, v in self.edges:
             iu, iv = self._index[u], self._index[v]

@@ -409,10 +409,16 @@ def is_f_tangle(S, O, family) -> bool:
 
 
 def profile_star_family(S) -> StarFamily:
-    """All in-system triples {r, s, (r v s)*}; its tangles are the profiles.
+    """The in-system triples {r, s, (r v s)*} that some orientation can
+    hold; its tangles are the profiles.
 
-    Triples whose co-join leaves the system are dropped: they can never be
-    contained in an orientation of S, so exclusion is unaffected.  Each
+    Two kinds of triple are dropped, as no orientation of S contains them,
+    so exclusion is unaffected: those whose co-join leaves the system, and
+    those holding both orientations x != x* of one separation.  For the
+    pair r = oriented[i], s = oriented[j], j >= i, with join at p, the
+    latter are s = r* (j == inv[i]), s <= r (p == i, which takes in
+    r = s) and r <= s (p == j), unless the member met twice is degenerate:
+    {r} for a degenerate r stays, and excludes every orientation.  Each
     triple is a mask of positions in S.oriented, handed to from_masks as
     it is made, which drops the repeats (a triple can come from up to
     three pairs) by sorting, with no set of the triples.
@@ -422,9 +428,12 @@ def profile_star_family(S) -> StarFamily:
     def triples():
         for i, c in enumerate(jc):
             bit = 1 << i
+            # -1 matches no position: a degenerate r drops nothing itself
+            ii, same = (inv[i], i) if inv[i] != i else (-1, -1)
             for j, p in enumerate(map(join_pos.get, map(or_, repeat(c), jc[i:])), i):
-                if p is not None:
-                    yield bit | 1 << j | 1 << inv[p]
+                if p is None or p == same or j == ii or p == j != inv[j]:
+                    continue
+                yield bit | 1 << j | 1 << inv[p]
 
     return StarFamily.from_masks(S, triples(), require_stars=False, name="profiles")
 

@@ -106,11 +106,27 @@ def test_check_samples_the_order_scan_by_seed(capsys, tmp_path, monkeypatch):
         for seed in ("4", "4", "5")
     ]
     assert outs[0] == outs[1]
-    assert outs[0][0] == 0 and "ok: order-submodular" in outs[0][1]
-    assert "system: 64 separations, 128 oriented" in outs[0][1]
+    lines = outs[0][1].splitlines()
+    assert outs[0][0] == 0
+    assert "ok: order-submodular (sampled 120 of 128 members, seed 4)" in lines
+    assert "ok: order-submodular (sampled 120 of 128 members, seed 5)" in outs[2][1]
+    assert "system: 64 separations, 128 oriented" in lines
     assert [len(s) for s in scanned] == [120, 120, 120]
     assert scanned[0] == scanned[1] != scanned[2]
     assert len(set(scanned[0])) == 120
+
+    # a violation found in the sample is marked the same way
+    monkeypatch.setattr(core, "order_submodularity_violation", lambda U, elems: (0, 0))
+    code, out, _ = run(capsys, "check", str(f), "--k", "3", "--max-seps", "200", "--seed", "4")
+    assert code == 1
+    assert ("violation: order-submodular (sampled 120 of 128 members, seed 4): "
+            "order fails submodularity") in out.splitlines()
+
+
+def test_check_says_nothing_of_sampling_when_it_scans_every_member(capsys, path4):
+    code, out, _ = run(capsys, "check", path4, "--k", "2")
+    assert code == 0 and "ok: order-submodular" in out.splitlines()
+    assert "sampled" not in out
 
 
 def test_missing_k_is_input_error(capsys, path4):

@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from tangletree import randomgen
+from tangletree import orient, randomgen
 from tangletree.core import (
     BipartitionUniverse,
     SeparationSystem,
@@ -342,3 +342,35 @@ def test_restrict_nested_preserves_submodularity(seed):
 def test_restrict_nested_checks_membership(s4, u4):
     with pytest.raises(InputError):
         s4.restrict_nested([999])
+
+
+# -- membership of a foreign value --
+
+
+def _named_chain_system():
+    U = TablePoset(names=["bot", "lo", "hi", "top"], **CHAIN4)
+    return SeparationSystem(U, [0, 1, 2, 3])
+
+
+@pytest.mark.parametrize("value", [("x", 1), 5, "lo", 99, [1], {"a": 1}, None])
+def test_check_member_refuses_a_foreign_value_with_input_error(s4, triangle_tripod, value):
+    """A value of another type, or an unhashable one, is no member of a
+    bipartition, a graph or a table system: InputError, shown by repr
+    where the universe cannot format it."""
+    _, graph_system, _ = triangle_tripod
+    for S in (s4, graph_system, _named_chain_system()):
+        if value == 5 and S is s4:
+            continue  # a bipartition mask of s4
+        with pytest.raises(InputError, match="is not in the system"):
+            S.check_member(value)
+    with pytest.raises(InputError, match=r"\('x', 1\) is not in the system"):
+        s4.check_member(("x", 1))
+    with pytest.raises(InputError, match=r"^\[1\] is not in the system"):
+        s4.check_member([1])
+
+
+def test_a_family_with_a_foreign_value_raises_input_error(s4, triangle_tripod):
+    _, graph_system, _ = triangle_tripod
+    for S in (s4, graph_system, _named_chain_system()):
+        with pytest.raises(InputError, match="is not in the system"):
+            orient.StarFamily(S, [{("x", 1)}])

@@ -57,6 +57,21 @@ def test_load_graph_with_isolated_vertices():
     assert g.vertices == ("a", "b", "z")
 
 
+def test_graph_names_may_mix_ints_and_strings_that_print_apart():
+    g = io.load_graph({"type": "graph", "edges": [[2, "b"], ["a", 1], [1, 2]]})
+    assert g.vertices == (1, 2, "a", "b")
+    assert g.edges == ((1, 2), (1, "a"), (2, "b"))
+    with pytest.raises(InputError, match="print alike"):
+        io.load_graph({"type": "graph", "edges": [[1, "b"], ["1", "c"]]})
+
+
+def test_bipartition_points_may_be_ints_that_print_apart():
+    U = io.load_universe({"type": "bipartition", "ground_set": [1, "b"]})
+    assert U.format_element(U.mask_of([1, "b"])) == "{1,b}"
+    with pytest.raises(InputError, match="print alike"):
+        io.load_universe({"type": "bipartition", "ground_set": [1, "1"]})
+
+
 def test_load_bipartition_universe():
     U = io.load_universe({"type": "bipartition", "ground_set": ["a", "b"]})
     assert isinstance(U, BipartitionUniverse)

@@ -44,7 +44,9 @@ def literal_profile_violation(S, O):
     return None
 
 
-def literal_profile_triples(S):
+def literal_full_profile_triples(S):
+    """Every triple {r, s, (r v s)*} with its co-join in S, r at or before
+    s, the ones that hold both orientations of a separation included."""
     U = S.universe
     triples = set()
     elems = S.oriented
@@ -54,6 +56,17 @@ def literal_profile_triples(S):
             if c in S.members:
                 triples.add(frozenset((r, s, c)))
     return triples
+
+
+def literal_profile_triples(S):
+    """The triples of literal_full_profile_triples less those holding a
+    member and its inverse, when the two differ: no orientation holds
+    both, so dropping them excludes nothing."""
+    U = S.universe
+    return {
+        t for t in literal_full_profile_triples(S)
+        if not any(U.invert(x) in t - {x} for x in t)
+    }
 
 
 def literal_submodular_violation(S):
@@ -246,6 +259,41 @@ def test_profile_triples_match_the_loop():
         assert fam.stars_only == all(orient.is_star(S.universe, t) for t in want)
 
 
+def _literal_profiles(S):
+    return [O for O in orient.all_orientations(S, BIG_CAPS)
+            if literal_profile_violation(S, O) is None]
+
+
+def _small_profile_systems(draw):
+    """A cut system of at most nine separations, or a table poset: a
+    product of chains, whole or a random half of its separations."""
+    rng = random.Random(draw(st.integers(0, 10_000), label="seed"))
+    if draw(st.booleans(), label="cut"):
+        points = "pqrst"[: draw(st.integers(3, 5), label="points")]
+        return randomgen.random_order_system(
+            rng, points, draw(st.integers(2, 9), label="max seps")
+        )
+    lengths = draw(st.sampled_from(((3, 3), (2, 3), (3, 2, 2), (5,), (2, 2, 2), (4, 3))))
+    U = _chain_product(lengths)
+    if draw(st.booleans(), label="whole"):
+        return SeparationSystem(U, U.elements())
+    return SeparationSystem.from_unoriented(
+        U, rng.sample(U.elements(), len(U.elements()) // 2)
+    )
+
+
+@given(st.data())
+def test_dropping_the_dead_triples_keeps_the_profiles(data):
+    """Tangles over the profile family, over every triple the literal
+    loop finds (dead ones included) and the literal 2^|S| profile loop
+    agree on random cut systems and table posets."""
+    S = _small_profile_systems(data.draw)
+    full = orient.StarFamily(S, literal_full_profile_triples(S), require_stars=False)
+    tangles = orient.enumerate_tangles(S, orient.profile_star_family(S), BIG_CAPS)
+    assert tangles == orient.enumerate_tangles(S, full, BIG_CAPS)
+    assert sorted(tangles, key=sorted) == sorted(_literal_profiles(S), key=sorted)
+
+
 def _violating_pairs(S):
     U = S.universe
     return sum(
@@ -332,7 +380,7 @@ def test_star_masks_match_star_violation():
         rng = random.Random(n)
         masks = {1 << i for i in range(n)}
         masks |= {rng.getrandbits(n) & rng.getrandbits(n) for _ in range(60)}
-        masks |= {_mask(S, t) for t in literal_profile_triples(S)}
+        masks |= {_mask(S, t) for t in literal_full_profile_triples(S)}
         for m in masks:
             assert orient._is_star_mask(S, m) == (
                 orient.star_violation(U, _star_of(S, m)) is None
@@ -343,7 +391,7 @@ def test_a_non_star_mask_raises_with_the_witness_of_star_violation():
     found = 0
     for S in SYSTEMS:
         U = S.universe
-        for t in sorted(literal_profile_triples(S), key=sorted)[:8]:
+        for t in sorted(literal_full_profile_triples(S), key=sorted)[:8]:
             bad = orient.star_violation(U, t)
             if bad is None:
                 continue
@@ -387,7 +435,7 @@ def _trip_point(S, fam, field, top):
 
 def _family_cases():
     for S in SYSTEMS[::3]:
-        yield S, literal_profile_triples(S), False
+        yield S, literal_full_profile_triples(S), False
         yield S, randomgen.standard_star_base(S), True
     G = graphsep.Graph.from_edges(triangle_tripod_edges())
     S = graphsep.graph_separation_system(G, 2, BIG_CAPS)
@@ -616,8 +664,17 @@ def test_masks_are_read_only_over_the_same_positions():
 
 
 def test_the_profile_pipeline_keeps_no_frozensets_and_no_join_rows():
+    # every triple of this system holds both orientations of a separation
     U = randomgen.cut_universe(random.Random(5), "pqrstu")
     S = order_filtered_system(U, 5)
+    fam = orient.profile_star_family(S)
+    full = orient.StarFamily(S, literal_full_profile_triples(S), require_stars=False)
+    tangles = orient.enumerate_tangles(S, fam, BIG_CAPS)
+    assert len(fam) == 0 and len(full) > 0
+    assert len(tangles) >= 2 and tangles == orient.enumerate_tangles(S, full, BIG_CAPS)
+
+    U = randomgen.cut_universe(random.Random(7), "pqrstu")
+    S = order_filtered_system(U, 13)
     fam = orient.profile_star_family(S)
     tangles = orient.enumerate_tangles(S, fam, BIG_CAPS)
     assert len(tangles) >= 2 and len(fam) > 0
