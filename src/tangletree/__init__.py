@@ -42,7 +42,7 @@ from .trees import (
     stree_to_treeset,
     treeset_to_stree,
 )
-from .duality import DualityResult, ShiftMap, duality_decide, emulates
+from .duality import DualityResult, duality_decide
 from .refine import RefineOutcome, refine_star, refine_treeset
 from .canonical import (
     CanonicalResult,
@@ -81,7 +81,6 @@ __all__ = [
     "ResourceCapError",
     "STree",
     "SeparationSystem",
-    "ShiftMap",
     "StarFamily",
     "TablePoset",
     "TangletreeError",
@@ -91,7 +90,6 @@ __all__ = [
     "check_canonicity",
     "consistent_orientations",
     "duality_decide",
-    "emulates",
     "enumerate_tangles",
     "essential_nodes",
     "f_tangle_violation",

@@ -110,7 +110,9 @@ def cmd_check(args):
         w = order_submodularity_violation(U, sample)
         checks.append((name, w is not None and "order fails submodularity"))
     if fam is not None:
-        checks.append(("family-nonempty", len(fam) == 0 and "empty family"))
+        # a builtin family may be empty; one read from a file should not be
+        if (args.family or "").startswith("file:"):
+            checks.append(("family-nonempty", len(fam) == 0 and "empty family"))
         w = fam.missing_trivial_singleton
         checks.append(("family-standard", w is not None and "missing singleton"))
         checks.append(

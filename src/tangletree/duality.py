@@ -1,5 +1,5 @@
-"""Emulation, the shift map, closure under shifting, separability, the
-precondition gate, and the tangle-vs-tree duality decision.
+"""Emulation, shifting and closure under it, the precondition gate, and
+the tangle-vs-tree duality decision.
 
 The duality search is a least-fixpoint computation: cover(x) holds when
 some family star containing x has all of its other members' inverses
@@ -23,107 +23,18 @@ from .orient import StarFamily
 from .trees import STree, irredundant_reduction
 
 
-def emulation_violation(S, s, r):
-    """None if s emulates r in S; otherwise the first witness.
-
-    Witness shapes: ("not-geq", r) when s is not above r, else
-    ("join-escapes", x) for the first x >= r (x != invert(r)) whose join
-    with s leaves the system.
-    """
-    U = S.universe
-    S.check_member(s)
-    S.check_member(r)
-    flags = S.classify(r)
-    if flags.degenerate or flags.trivial:
-        raise InputError("emulation base must be neither trivial nor degenerate")
-    if not U.leq(r, s):
-        return ("not-geq", r)
-    rbar = U.invert(r)
-    for x in S.oriented:
-        if x == rbar or not U.leq(r, x):
-            continue
-        if U.join(s, x) not in S.members:
-            return ("join-escapes", x)
-    return None
-
-
-def emulates(S, s, r) -> bool:
-    return emulation_violation(S, s, r) is None
-
-
-@dataclass(frozen=True)
-class ShiftMap:
-    """f-down for a base r and target s with s >= r emulating r."""
-
-    system: object
-    base: object
-    target: object
-
-    def __post_init__(self):
-        bad = emulation_violation(self.system, self.target, self.base)
-        if bad is not None:
-            raise InputError(f"target does not emulate base: {bad}")
-
-    def domain_contains(self, x) -> bool:
-        U = self.system.universe
-        return U.leq(self.base, x) or U.leq(self.base, U.invert(x))
-
-    def apply(self, x):
-        U = self.system.universe
-        r, s = self.base, self.target
-        rbar = U.invert(r)
-        if x != rbar and U.leq(r, x):
-            img = U.join(x, s)
-        elif U.leq(r, U.invert(x)):
-            img = U.invert(U.join(U.invert(x), s))
-        else:
-            raise InputError(
-                f"{U.format_element(x)} is outside the shift domain"
-            )
-        if img not in self.system.members:
-            raise IntegrityError(
-                "shift image escaped the system despite emulation"
-            )
-        return img
-
-    def apply_star(self, sigma):
-        return frozenset(self.apply(x) for x in sigma)
-
-
-def star_in_shift_scope(S, sigma, r):
-    """True iff sigma lies in S_(>=r) minus invert(r) and touches above r."""
-    U = S.universe
-    rbar = U.invert(r)
-    touches = False
-    for x in sigma:
-        if x == rbar:
-            return False
-        above = U.leq(r, x)
-        if not above and not U.leq(r, U.invert(x)):
-            return False
-        if above:
-            touches = True
-    return touches
-
-
-def emulation_for_family_violation(S, s, r, family):
-    """None if s emulates r in S for the family; else the offending star."""
-    bad = emulation_violation(S, s, r)
-    if bad is not None:
-        raise InputError(f"emulation precondition fails: {bad}")
-    shift = ShiftMap(S, r, s)
-    for sigma in family:
-        if not star_in_shift_scope(S, sigma, r):
-            continue
-        if shift.apply_star(sigma) not in family:
-            return sigma
-    return None
+def _emulates(S, si, ri):
+    """True iff oriented[si] emulates oriented[ri]: it lies above it, and
+    its join with every member above it other than its inverse stays in
+    S (the system's join rows)."""
+    up = S.up_bits[ri]
+    return bool(up >> si & 1) and not up & ~(1 << S.inv_pos[ri]) & ~S.join_row(si)[1]
 
 
 def _shift_bits(S, si):
-    """Image bits of the shift onto oriented[si], indexed as the scan
-    indexes a star member at position x: x when the member lies above
-    the base (its join with the target), len(S.oriented) + x when it lies
+    """Image bits of the shift onto oriented[si], indexed as _shift_code
+    indexes a member at position x: x when the member lies above the
+    base (its join with the target), len(S.oriented) + x when it lies
     below the base's inverse (the inverse of the target's join with the
     member's inverse).  -1 marks a join that leaves the system; OR-ed into
     an image it keeps the image negative, so it is never read as a bit.
@@ -135,72 +46,85 @@ def _shift_bits(S, si):
     return above + below
 
 
+def _shift_code(S, ri):
+    """Per position p, the index into a _shift_bits table at which the
+    shift from base oriented[ri] reads the member at p: p when it lies
+    above the base and is not its inverse, len(S.oriented) + p when it
+    lies below the base's inverse, None outside the shift domain."""
+    n, up, rbar = len(S.oriented), S.up_bits[ri], S.inv_pos[ri]
+    down = S.down_bits[rbar]
+    return [p if p != rbar and up >> p & 1 else n + p if down >> p & 1 else None
+            for p in range(n)]
+
+
+def _shift_image(bits, code):
+    """The image mask of a code through a _shift_bits table; a join that
+    leaves the system raises IntegrityError, as emulation rules it out."""
+    img = 0
+    for x in code:
+        img |= bits[x]
+    if img < 0:
+        raise IntegrityError("shift image escaped the system despite emulation")
+    return img
+
+
+def _shift_scope(S, ri, masks):
+    """(k, code) for each masks[k] in the shift scope of base oriented[ri]
+    (it avoids the base's inverse, lies in the shift domain and meets
+    up[ri]), code holding the _shift_code index of each of its members;
+    yielded one at a time, so that a large family is never copied."""
+    up, rbar = S.up_bits[ri], S.inv_pos[ri]
+    outside = ~(up | S.down_bits[rbar]) | 1 << rbar
+    code = _shift_code(S, ri)
+    for k, m in enumerate(masks):
+        if m & up and not m & outside:
+            yield k, [code[p] for p in bit_positions(m)]
+
+
+def _unshifted(scope, bits, in_family):
+    """The first k of scope whose star's image through bits is not in
+    in_family, else None."""
+    for k, code in scope:
+        if _shift_image(bits, code) not in in_family:
+            return k
+    return None
+
+
 def shifting_closure_violation(S, family):
     """First (s, r, sigma) with s emulating r in S but the shift of sigma
     from r onto s not in the family; None when the family is closed
     under shifting.
 
-    Witness order, that of the literal loop over emulates, ShiftMap and
-    star_in_shift_scope: bases r in S.oriented order, degenerate and
-    trivial ones skipped; for each r its emulators s in S.oriented order
-    (s = r is the identity shift, which cannot fail); for each (r, s) the
-    stars of the family, in star order, that lie in the shift scope of r.  A
-    join that leaves the system inside the shift domain raises
-    IntegrityError, as ShiftMap.apply does.
+    Witness order: bases r in S.oriented order, degenerate and trivial
+    ones skipped; for each r its emulators s in S.oriented order (s = r is
+    the identity shift, which cannot fail); for each (r, s) the stars of
+    the family, in star order, that lie in the shift scope of r.  A join
+    that leaves the system inside the shift domain raises IntegrityError.
 
-    The scan works on positions in S.oriented.  r is trivial iff
-    strict_up[r] meets strict_down[r*]; s >= r emulates r iff every
-    member of up[r] other than r* joins s inside S (the system's join
-    rows); a star, as a mask, is in scope iff it avoids r*, lies in
-    up[r] | down[r*] and meets up[r].  The shift onto s is a table of
-    image bits (_shift_bits) and membership a lookup in the set of star
-    masks.  Each target's image table is built once per call, at its
+    The scan works on positions in S.oriented: r is trivial iff some
+    member lies strictly above both r and r*, emulation is _emulates, the
+    stars in scope and their codes come from _shift_scope once per base,
+    and the first star whose shift is not in the family from _unshifted.
+    Each target's image table (_shift_bits) is built once per call, at its
     first use, and serves every base the target emulates.
     """
-    n = len(S.oriented)
-    inv = S.inv_pos
-    up, down = S.up_bits, S.down_bits
-    strict_up, strict_down = S.strict_up_bits, S.strict_down_bits
     masks = family.masks_over(S)
-    members = [list(bit_positions(m)) for m in masks]
     in_family = set(masks)
     images = {}  # by target position, built on first use
-    for ri in range(n):
-        rbar = inv[ri]
-        if rbar == ri or strict_up[ri] & strict_down[rbar]:
+    for ri in range(len(S.oriented)):
+        if S.inv_pos[ri] == ri or S._trivial_witnesses(ri):
             continue
-        upr = up[ri]
-        outside = ~(upr | down[rbar]) | 1 << rbar
-        # Each in-scope star as its member indexes into _shift_bits.
-        scope = [
-            (k, [p if upr >> p & 1 else n + p for p in ps])
-            for k, (m, ps) in enumerate(zip(masks, members))
-            if not m & outside and m & upr
-        ]
+        scope = list(_shift_scope(S, ri, masks))
         if not scope:
             continue
-        need = upr & ~(1 << rbar)
-        cand = upr & ~(1 << ri)
-        while cand:
-            b = cand & -cand
-            cand ^= b
-            si = b.bit_length() - 1
-            if need & ~S.join_row(si)[1]:
+        for si in bit_positions(S.up_bits[ri] & ~(1 << ri)):
+            if not _emulates(S, si, ri):
                 continue
             if si not in images:
                 images[si] = _shift_bits(S, si)
-            bits = images[si]
-            for k, code in scope:
-                img = 0
-                for x in code:
-                    img |= bits[x]
-                if img not in in_family:
-                    if img < 0:
-                        raise IntegrityError(
-                            "shift image escaped the system despite emulation"
-                        )
-                    star = frozenset(S.oriented[p] for p in members[k])
-                    return (S.oriented[si], S.oriented[ri], star)
+            k = _unshifted(scope, images[si], in_family)
+            if k is not None:
+                return (S.oriented[si], S.oriented[ri], family.star(k))
     return None
 
 
@@ -293,12 +217,26 @@ def shift_stree(T: STree, r, s, family) -> STree:
     uses = [e for e, lab in T.alpha.items() if lab == r]
     if len(uses) != 1:
         raise InputError("shift base labels more than one edge")
-    shift = ShiftMap(S, r, s)
+    S.check_member(s)
+    ri, si = S.pos[r], S.pos[s]
+    if S.inv_pos[ri] == ri or S._trivial_witnesses(ri) or not _emulates(S, si, ri):
+        raise InputError("target does not emulate base")
+    bits = _shift_bits(S, si)
     if family is not None:
-        bad = emulation_for_family_violation(S, s, r, family)
-        if bad is not None:
-            raise InputError(f"target does not emulate base for the family: {bad}")
-    alpha2 = {e: shift.apply(lab) for e, lab in T.alpha.items()}
+        masks = family.masks_over(S)
+        # validate has built the family's own set of masks: use it
+        in_family = family._mask_set if masks is family.masks_sorted else set(masks)
+        k = _unshifted(_shift_scope(S, ri, masks), bits, in_family)
+        if k is not None:
+            raise InputError(
+                f"target does not emulate base for the family: {family.star(k)}"
+            )
+    code, alpha2 = _shift_code(S, ri), {}
+    for e, lab in T.alpha.items():
+        x = code[S.pos[lab]]
+        if x is None:
+            raise InputError(f"{U.format_element(lab)} is outside the shift domain")
+        alpha2[e] = S.oriented[_shift_image(bits, (x,)).bit_length() - 1]
     out = STree(S, T.n, alpha2)
     sbar = frozenset((U.invert(s),))
     hits = [v for v in range(out.n) if out.star_at(v) == sbar]
@@ -455,37 +393,3 @@ def duality_decide(S, family: StarFamily, caps=DEFAULT_CAPS, verify=True) -> Dua
     if rep.over_f is not True:
         raise IntegrityError(f"constructed tree is not over the family: {rep}")
     return DualityResult("tree", tree=tree)
-
-
-# -- separability --
-
-
-def separability_violation(S):
-    """First comparable pair (s, r) with no t between them such that t
-    emulates s and invert(t) emulates invert(r)."""
-    U = S.universe
-    elems = S.oriented
-    for s in elems:
-        fs = S.classify(s)
-        if fs.degenerate or fs.trivial:
-            continue
-        for r in elems:
-            if not U.leq(s, r):
-                continue
-            fr = S.classify(U.invert(r))
-            if fr.degenerate or fr.trivial:
-                continue
-            ok = False
-            for t in elems:
-                if not (U.leq(s, t) and U.leq(t, r)):
-                    continue
-                if emulates(S, t, s) and emulates(S, U.invert(t), U.invert(r)):
-                    ok = True
-                    break
-            if not ok:
-                return (s, r)
-    return None
-
-
-def check_separable(S) -> bool:
-    return separability_violation(S) is None

@@ -53,28 +53,6 @@ def is_consistent(S, O) -> bool:
     return consistency_violation(S, O) is None
 
 
-def orientation_violation(S, O):
-    """None if O picks exactly one orientation per separation of S."""
-    U = S.universe
-    O = frozenset(O)
-    for x in O:
-        if x not in S.members:
-            return ("foreign", x)
-    for s in S.separations:
-        t = U.invert(s)
-        has_s, has_t = s in O, t in O
-        if s == t:
-            if not has_s:
-                return ("missing-degenerate", s)
-        elif has_s and has_t:
-            return ("both", s)
-        elif not has_s and not has_t:
-            return ("unoriented", s)
-    if len(O) != len(S.separations):
-        return ("size", len(O))
-    return None
-
-
 def profile_violation(S, O):
     """None if O is a profile; else the offending pair.
 
@@ -103,12 +81,6 @@ def profile_violation(S, O):
 
 def is_profile(S, O) -> bool:
     return profile_violation(S, O) is None
-
-
-def is_regular(S, O) -> bool:
-    """True iff O contains no co-small separation."""
-    U = S.universe
-    return not any(U.leq(U.invert(x), x) for x in O)
 
 
 def star_violation(U, sigma):

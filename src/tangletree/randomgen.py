@@ -11,11 +11,12 @@ import random
 
 from .core import (
     BipartitionUniverse,
+    bit_positions,
     order_filtered_system,
     weighted_cut,
 )
 from .errors import InputError
-from .orient import StarFamily
+from .orient import StarFamily, star_violation
 from . import duality
 from .graphsep import Graph
 
@@ -103,8 +104,6 @@ def random_shift_closed_family(rng: random.Random, S, upsets=1, stars=1, repair_
     for _ in range(stars):
         size = rng.choice((1, 2, 2, 3))
         pick = frozenset(rng.sample(elems, min(size, len(elems))))
-        from .orient import star_violation
-
         if star_violation(U, pick) is None:
             fam_stars.add(pick)
     try:
@@ -118,9 +117,11 @@ def random_shift_closed_family(rng: random.Random, S, upsets=1, stars=1, repair_
                 S, list(fam.masks_sorted), closed_under_shifting=True
             )
         s, r, sigma = bad
-        img = duality.ShiftMap(S, r, s).apply_star(sigma)
+        pos, code = S.pos, duality._shift_code(S, S.pos[r])
+        bits = duality._shift_bits(S, pos[s])
+        img = duality._shift_image(bits, [code[pos[x]] for x in sigma])
         try:
-            fam = fam.extended([img])
+            fam = fam.extended([frozenset(S.oriented[p] for p in bit_positions(img))])
         except InputError:
             return None
     return None

@@ -179,11 +179,10 @@ def refine_star(S, sigma, family, witnesses=None, tangles=None, caps=DEFAULT_CAP
 
     # extend by the up-closures of the member inverses, as singletons
     inverses = [U.invert(s) for s in members]
-    extra = [
-        frozenset((x,))
-        for x in S.oriented
-        if any(U.leq(i, x) for i in inverses)
-    ]
+    up = 0
+    for i in inverses:
+        up |= S.up_bits[S.pos[i]]
+    extra = [frozenset((x,)) for p, x in enumerate(S.oriented) if up >> p & 1]
     fbar = family.extended(extra, name="refine-extension")
 
     res = duality.duality_decide(S, fbar, caps, verify=False)
@@ -214,7 +213,7 @@ def refine_star(S, sigma, family, witnesses=None, tangles=None, caps=DEFAULT_CAP
         flags = S.classify(wbar)
         if flags.degenerate or flags.trivial:
             raise IntegrityError("shift base collapsed to a trivial separation")
-        if duality.emulation_violation(S, target, wbar) is not None:
+        if not duality._emulates(S, S.pos[target], S.pos[wbar]):
             raise IntegrityError("close relationship failed to buy emulation")
         keep = sorted(
             {s for s in members if s in leafseps} | {wbar}, key=U.sort_key

@@ -1,6 +1,7 @@
 """End-to-end command-line runs, in process."""
 
 import json
+import random
 from itertools import combinations
 
 import pytest
@@ -127,6 +128,28 @@ def test_check_says_nothing_of_sampling_when_it_scans_every_member(capsys, path4
     code, out, _ = run(capsys, "check", path4, "--k", "2")
     assert code == 0 and "ok: order-submodular" in out.splitlines()
     assert "sampled" not in out
+
+
+def test_check_accepts_an_empty_builtin_family_as_duality_does(capsys, tmp_path):
+    # pair weights drawn as randomgen.cut_universe draws them; at k 1 the
+    # system is {empty, full} and every profile triple of it is dead
+    pts = ["a", "b", "c", "d"]
+    rng = random.Random(0)
+    weights = {f"{a},{b}": rng.randint(0, 4) for a, b in combinations(pts, 2)}
+    f = tmp_path / "cut.json"
+    f.write_text(json.dumps({"type": "bipartition", "ground_set": pts,
+                             "separations": "all", "order_weights": weights}))
+    code, out, _ = run(capsys, "check", str(f), "--k", "1")
+    assert code == 0 and "family: 0 members" in out.splitlines()
+    assert "family-nonempty" not in out
+    code, out, _ = run(capsys, "duality", str(f), "--k", "1")
+    assert code == 0 and "kind: tangle" in out.splitlines()
+    # an empty family from a file is still reported
+    fam = tmp_path / "empty.json"
+    fam.write_text(json.dumps({"stars": []}))
+    code, out, _ = run(capsys, "check", str(f), "--k", "1", "--family", f"file:{fam}")
+    assert code == 1
+    assert "violation: family-nonempty: empty family" in out.splitlines()
 
 
 def test_missing_k_is_input_error(capsys, path4):

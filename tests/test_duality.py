@@ -7,46 +7,73 @@ from tangletree.config import Caps
 from tangletree.errors import InputError
 from tangletree.core import SeparationSystem
 
+import oracles
 from conftest import BIG_CAPS
+
+
+def emulated(S, s, r):
+    """The position-level emulation verdict, checked against the oracle."""
+    verdict = duality._emulates(S, S.pos[s], S.pos[r])
+    assert verdict == oracles.emulates(S, s, r)
+    return verdict
+
+
+def shifted(S, r, s, x):
+    """The image of x under the position-level shift from r onto s, or
+    None outside the shift domain."""
+    code = duality._shift_code(S, S.pos[r])[S.pos[x]]
+    if code is None:
+        return None
+    img = duality._shift_image(duality._shift_bits(S, S.pos[s]), (code,))
+    return S.oriented[img.bit_length() - 1]
 
 
 def test_emulation_in_full_universe(u4, s4):
     # joins never leave a full universe, so everything above r emulates r
     r = u4.mask_of(["a"])
     for s in (r, u4.mask_of(["a", "b"]), u4.mask_of(["a", "b", "c"])):
-        assert duality.emulates(s4, s, r)
+        assert emulated(s4, s, r)
 
 
-def test_emulation_rejects_trivial_base(s4):
+def test_emulation_rejects_trivial_base(u4, s4):
     with pytest.raises(InputError):
-        duality.emulation_violation(s4, 0, 0)
+        oracles.emulation_violation(s4, 0, 0)
+    # the empty separation is trivial: shift_stree refuses it as a base
+    full = u4.invert(0)
+    T = trees.STree(s4, 2, {(0, 1): 0, (1, 0): full})
+    with pytest.raises(InputError):
+        duality.shift_stree(T, 0, u4.mask_of(["a"]), None)
 
 
 def test_emulation_witness_shape(u4, s4):
     r = u4.mask_of(["a"])
-    w = duality.emulation_violation(s4, u4.mask_of(["b"]), r)
+    w = oracles.emulation_violation(s4, u4.mask_of(["b"]), r)
     assert w is not None and w[0] == "not-geq"
+    assert not emulated(s4, u4.mask_of(["b"]), r)
 
 
 def test_shift_map_apply(u4, s4):
     r = u4.mask_of(["a"])
     s = u4.mask_of(["a", "b"])
-    f = duality.ShiftMap(s4, r, s)
+    f = oracles.ShiftMap(s4, r, s)
     # above r: join with s
     assert f.apply(u4.mask_of(["a", "c"])) == u4.mask_of(["a", "b", "c"])
     # below invert(r): dual rule
     assert f.apply(0) == u4.invert(u4.join(u4.invert(0), s))
     # the base inverse itself maps to the target inverse
     assert f.apply(u4.invert(r)) == u4.invert(s)
+    for x in s4.oriented:
+        assert shifted(s4, r, s, x) == f.apply(x)
 
 
 def test_shift_map_domain_gap(u4, s4):
     r = u4.mask_of(["a", "b"])
-    f = duality.ShiftMap(s4, r, r)
+    f = oracles.ShiftMap(s4, r, r)
     out = u4.mask_of(["b", "c"])  # neither above r nor below its inverse
     assert not f.domain_contains(out)
     with pytest.raises(InputError):
         f.apply(out)
+    assert shifted(s4, r, r, out) is None
 
 
 def test_shift_map_validates(u4, s4):
@@ -55,7 +82,8 @@ def test_shift_map_validates(u4, s4):
     )
     # join of {a,c} with {a,b} leaves this subsystem
     with pytest.raises(InputError):
-        duality.ShiftMap(sub, u4.mask_of(["a", "b"]), u4.mask_of(["a"]))
+        oracles.ShiftMap(sub, u4.mask_of(["a", "b"]), u4.mask_of(["a"]))
+    assert not emulated(sub, u4.mask_of(["a"]), u4.mask_of(["a", "b"]))
 
 
 def test_shift_stree_two_vertices(u4, s4):
@@ -141,4 +169,4 @@ def test_submodular_systems_are_separable():
     for seed in range(25):
         S = randomgen.random_order_system(random.Random(seed), ["p", "q", "r", "s"])
         if S.is_submodular():
-            assert duality.check_separable(S)
+            assert oracles.check_separable(S)

@@ -18,6 +18,7 @@ from tangletree.config import Caps
 from tangletree.core import SeparationSystem
 from tangletree.errors import InputError, ResourceCapError
 
+import oracles
 from conftest import BIG_CAPS, away_from
 
 
@@ -34,18 +35,18 @@ def test_profiles_are_the_point_orientations(u4, s4):
     ]
     assert len(profs) == 4
     assert set(profs) == {away_from(u4, x) for x in "abcd"}
-    assert all(orient.is_regular(s4, O) for O in profs)
+    assert all(oracles.is_regular(s4, O) for O in profs)
 
 
 def test_orientation_shape_enforced(u4, s4):
     full = away_from(u4, "a")
-    assert orient.orientation_violation(s4, full) is None
+    assert oracles.orientation_violation(s4, full) is None
     # missing one separation
     partial = frozenset(list(full)[:-1])
-    assert orient.orientation_violation(s4, partial) is not None
+    assert oracles.orientation_violation(s4, partial) is not None
     # both orientations of one separation
     both = full | {u4.invert(next(iter(full)))}
-    assert orient.orientation_violation(s4, both) is not None
+    assert oracles.orientation_violation(s4, both) is not None
 
 
 def test_consistency_witness(u4, s4):

@@ -1,13 +1,16 @@
-"""Closure under shifting: the index-space verifier against the literal
-loop over emulates, ShiftMap and star_in_shift_scope, the tables it keeps
-on the system, and the instances the repair loop draws with it."""
+"""Closure under shifting: the index-space verifier and its position-level
+helpers against the literal loop over the oracles' emulates, ShiftMap and
+star_in_shift_scope, the tables it keeps on the system, and the instances
+the repair loop draws with it."""
 
 import pytest
 
-from tangletree import duality, graphsep, orient, randomgen
+from tangletree import duality, graphsep, orient, randomgen, trees
 from tangletree.config import Caps
 from tangletree.core import SeparationSystem
+from tangletree.errors import IntegrityError
 
+import oracles
 from conftest import BIG_CAPS, triangle_tripod_edges
 
 FOUR = ("p", "q", "r", "s")
@@ -23,9 +26,9 @@ def literal_shifting_closure_violation(S, family):
         if flags.degenerate or flags.trivial:
             continue
         for s in S.oriented:
-            if not U.leq(r, s) or not duality.emulates(S, s, r):
+            if not U.leq(r, s) or not oracles.emulates(S, s, r):
                 continue
-            sigma = duality.emulation_for_family_violation(S, s, r, family)
+            sigma = oracles.emulation_for_family_violation(S, s, r, family)
             if sigma is not None:
                 return (s, r, sigma)
     return None
@@ -104,6 +107,91 @@ def test_verifier_matches_the_literal_loop_on_every_repair_state(monkeypatch, po
         randomgen.random_duality_instance(seed, points)
     assert states.count(False) >= 100  # repair steps, each with a witness
     assert states.count(True) >= 50  # closed families
+
+
+@pytest.mark.parametrize("points", [FOUR, FIVE], ids=["4-points", "5-points"])
+def test_helpers_match_the_oracles_on_random_instances(points):
+    pairs = images = relabelled = 0
+    for seed in range(100):
+        inst = randomgen.random_duality_instance(seed, points)
+        if inst is None:
+            continue
+        S, fam = inst
+        pos, masks = S.pos, fam.masks_over(S)
+        tree = duality.duality_decide(S, fam, BIG_CAPS).tree
+        for r in S.oriented:
+            flags = S.classify(r)
+            if flags.degenerate or flags.trivial:
+                continue
+            ri = pos[r]
+            scope = dict(duality._shift_scope(S, ri, masks))
+            assert set(scope) == {
+                k for k, sigma in enumerate(fam.stars_sorted)
+                if oracles.star_in_shift_scope(S, sigma, r)
+            }
+            for s in S.oriented:
+                verdict = duality._emulates(S, pos[s], ri)
+                assert verdict == oracles.emulates(S, s, r)
+                if not verdict:
+                    continue
+                pairs += 1
+                f = oracles.ShiftMap(S, r, s)
+                bits = duality._shift_bits(S, pos[s])
+                for k, code in scope.items():
+                    img = duality._shift_image(bits, code)
+                    want = f.apply_star(fam.stars_sorted[k])
+                    assert img == sum(1 << pos[x] for x in want)
+                    images += 1
+                if tree is None or r not in tree.leaf_separations():
+                    continue
+                want = {e: f.apply(lab) for e, lab in tree.alpha.items()}
+                try:
+                    out = duality.shift_stree(tree, r, s, fam)
+                except IntegrityError:  # no unique leaf {s*}: check that
+                    sbar = frozenset((S.universe.invert(s),))
+                    T = trees.STree(S, tree.n, want)
+                    assert [T.star_at(v) for v in range(T.n)].count(sbar) != 1
+                    continue
+                assert out.alpha == want
+                relabelled += 1
+    assert pairs >= 4000 and images >= 10000 and relabelled >= 50
+
+
+def _outcome(f, *args):
+    try:
+        return f(*args)
+    except IntegrityError:
+        return IntegrityError
+
+
+def test_helpers_match_the_oracles_on_every_kind_of_system():
+    from test_profiles import SYSTEMS
+
+    small = pairs = 0
+    for S in SYSTEMS:
+        U, pos = S.universe, S.pos
+        for r in S.oriented:
+            flags = S.classify(r)
+            if flags.degenerate or flags.trivial:
+                continue
+            small += U.leq(r, U.invert(r))
+            code = duality._shift_code(S, pos[r])
+            for s in S.oriented:
+                verdict = duality._emulates(S, pos[s], pos[r])
+                assert verdict == oracles.emulates(S, s, r)
+                if not verdict:
+                    continue
+                pairs += 1
+                f, bits = oracles.ShiftMap(S, r, s), duality._shift_bits(S, pos[s])
+                for x in S.oriented:
+                    c = code[pos[x]]
+                    assert (c is not None) == f.domain_contains(x)
+                    if c is not None:
+                        img = _outcome(duality._shift_image, bits, (c,))
+                        if img is not IntegrityError:
+                            img = S.oriented[img.bit_length() - 1]
+                        assert img == _outcome(f.apply, x)
+    assert small and pairs >= 1000
 
 
 @pytest.mark.parametrize("name", sorted(TK_STAR))
