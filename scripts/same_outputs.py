@@ -2,6 +2,7 @@
 
     python3 scripts/same_outputs.py --seeds 1 5
     python3 scripts/same_outputs.py --seeds 1 5 --root ../other-checkout
+    python3 scripts/same_outputs.py --seeds 1 2 3 4 5 6 7 8 --expect DIGEST
 
 For each seed and each workload of `benchmark/inputs.BUILDERS`, builds the
 inputs in a fresh temporary directory and calls `tangletree.cli.main(argv)`
@@ -11,6 +12,9 @@ replaced by a fixed token wherever it appears, so the digest depends only
 on the program's behaviour.  Prints one line per workload and seed (its
 operation count and digest), then one line with the digest of them all:
 two checkouts with equal digests behave alike on every operation.
+--seeds takes a list, not a range: `--seeds 1 8` runs seeds 1 and 8.
+With --expect, a final digest other than the one given exits 1 after
+printing both.
 
 The package and `benchmark/inputs.py` are imported from --root (default:
 the checkout holding this script); no bytecode is written there.
@@ -66,6 +70,7 @@ def main():
     ap.add_argument("--root", default=os.path.dirname(HERE),
                     help="checkout whose src/ and benchmark/ are used")
     ap.add_argument("--verbose", action="store_true", help="one line per operation")
+    ap.add_argument("--expect", metavar="DIGEST", help="exit 1 unless the final digest is this")
     args = ap.parse_args()
 
     root = os.path.abspath(args.root)
@@ -85,6 +90,9 @@ def main():
             everything.update(digest.encode())
             print(f"{workload} seed {seed}: {count} operations, {digest}")
     print(f"all: {everything.hexdigest()}")
+    if args.expect is not None and everything.hexdigest() != args.expect:
+        print(f"expected {args.expect}, got {everything.hexdigest()}")
+        sys.exit(1)
 
 
 if __name__ == "__main__":

@@ -13,7 +13,6 @@ from .core import (
     Universe,
     order_filtered_system,
     order_submodularity_violation,
-    verify_universe_laws,
 )
 from .errors import (
     DomainError,
@@ -28,9 +27,6 @@ from .orient import (
     consistent_orientations,
     enumerate_tangles,
     f_tangle_violation,
-    is_consistent,
-    is_profile,
-    is_star,
     profile_star_family,
 )
 from .trees import (
@@ -39,7 +35,6 @@ from .trees import (
     essential_nodes,
     lives_at,
     nodes_of,
-    stree_to_treeset,
     treeset_to_stree,
 )
 from .duality import DualityResult, duality_decide
@@ -96,9 +91,6 @@ __all__ = [
     "good_nested_set",
     "graph_separation_system",
     "graph_tangles",
-    "is_consistent",
-    "is_profile",
-    "is_star",
     "lives_at",
     "nodes_of",
     "order_filtered_system",
@@ -107,8 +99,6 @@ __all__ = [
     "refine_star",
     "refine_treeset",
     "refined_tree_of_tangles",
-    "stree_to_treeset",
     "tk_star_family",
     "treeset_to_stree",
-    "verify_universe_laws",
 ]

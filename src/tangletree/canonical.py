@@ -147,22 +147,6 @@ def canonical_nested_set(S, profiles, caps=DEFAULT_CAPS) -> CanonicalResult:
     )
 
 
-def inessential_closeness_violation(S, nested, profiles, caps=DEFAULT_CAPS):
-    """First (node, member) of an inessential node whose member's inverse
-    is closely related to no profile; None when refinement can proceed."""
-    U = S.universe
-    split = trees.essential_nodes(S, nested, profiles, caps)
-    for sigma in split.inessential:
-        for s in sorted(sigma, key=U.sort_key):
-            sbar = U.invert(s)
-            if not any(
-                sbar in P and refine.closely_related(S, sbar, P)
-                for P in profiles
-            ):
-                return (sigma, s)
-    return None
-
-
 @dataclass
 class RefinedTreeResult:
     canonical: CanonicalResult
@@ -272,10 +256,9 @@ def good_nested_set(S, profiles, caps=DEFAULT_CAPS) -> GoodResult:
             new_seps.add(U.canon(r_p))
         if not new_seps:
             raise IntegrityError("no profile exposes a good separation")
-        for s in sorted(new_seps, key=U.sort_key):
-            for t in accumulated:
-                if not U.nested(s, t):
-                    raise IntegrityError("new separations cross the old ones")
+        bad = S.nestedness_violation(accumulated | new_seps)
+        if bad is not None:
+            raise IntegrityError(f"new separations cross: {bad}")
         rounds.append(
             {
                 "round": rnd,
@@ -304,28 +287,6 @@ def good_nested_set(S, profiles, caps=DEFAULT_CAPS) -> GoodResult:
         rounds=tuple(rounds),
         profiles=tuple(plist),
     )
-
-
-def find_well_distinguisher(S, P1, P2, M):
-    """First separation nested with M distinguishing P1 from P2 well."""
-    U = S.universe
-    if frozenset(P1) == frozenset(P2):
-        raise InputError("needs two distinct profiles")
-    bad = standing_hypothesis_violation(S, M, [P1, P2])
-    if bad is not None:
-        raise InputError(f"profiles disagree on the nested set: {bad}")
-    S_M = S.restrict_nested(M)
-    differ = False
-    for s in S_M.separations:
-        if s == U.invert(s):
-            continue
-        if orient.distinguishes(S_M, s, P1, P2):
-            differ = True
-            if refine.distinguishes_well(S, s, P1, P2):
-                return s
-    if not differ:
-        raise DomainError("the profiles agree on everything nested with M")
-    raise IntegrityError("distinguishable profiles admit no well-distinguisher")
 
 
 # -- canonicity --

@@ -28,9 +28,12 @@ ORDER_SCAN_MEMBERS = 120
 
 
 def _caps(args):
-    if getattr(args, "max_seps", None):
-        return dataclasses.replace(Caps(), max_unoriented=args.max_seps)
-    return Caps()
+    n = getattr(args, "max_seps", None)
+    if n is None:
+        return Caps()
+    if n <= 0:
+        raise InputError(f"--max-seps must be positive, got {n}")
+    return dataclasses.replace(Caps(), max_unoriented=n)
 
 
 def _load(args, caps):

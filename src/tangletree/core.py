@@ -16,7 +16,7 @@ its canonical orientation, the sort_key-minimal one of the pair.
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import combinations, compress, repeat
+from itertools import compress, repeat
 from operator import add, and_, gt, or_
 
 from .errors import InputError, UnsupportedOperationError
@@ -123,23 +123,6 @@ class Universe:
         self.check_element(r)
         self.check_element(s)
         return self.comparable(r, s) or self.comparable(r, self.invert(s))
-
-    def corner_separations(self, r, s):
-        """The up-to-four corner separations of r and s, unoriented.
-
-        Returned as a sorted tuple of canonical orientations; invariant
-        under swapping r and s and under reorienting either input.
-        """
-        self.check_element(r)
-        self.check_element(s)
-        rbar = self.invert(r)
-        corners = {
-            self.canon(self.join(r, s)),
-            self.canon(self.meet(r, s)),
-            self.canon(self.join(rbar, s)),
-            self.canon(self.meet(rbar, s)),
-        }
-        return tuple(sorted(corners, key=self.sort_key))
 
     def format_pair(self, x) -> str:
         return f"{self.format_element(x)} | {self.format_element(self.invert(x))}"
@@ -507,6 +490,17 @@ def bit_positions(m):
         m ^= b
 
 
+def first_pair(elems, m, row):
+    """(elems[i], elems[j]) for the first positions i < j in mask m with
+    bit j set in row(i), lowest i first and then lowest j; None if there
+    is none."""
+    for i in bit_positions(m):
+        hit = m & row(i) & -(2 << i)  # the positions above i
+        if hit:
+            return elems[i], elems[(hit & -hit).bit_length() - 1]
+    return None
+
+
 def bit_column(rows, bit):
     """The bitset of the positions i at which rows[i] has the given bit."""
     return int(
@@ -617,6 +611,17 @@ class SeparationSystem:
             shown = repr(x)
         raise InputError(f"{shown} is not in the system")
 
+    def member_mask(self, xs):
+        """The positions in oriented of the members xs, as bits; a value
+        that is not a member raises InputError (see check_member)."""
+        pos, m = self.pos, 0
+        for x in xs:
+            try:
+                m |= 1 << pos[x]
+            except (KeyError, TypeError):
+                self.check_member(x)  # raises: x is not a member
+        return m
+
     # -- positional index and bit tables (built on demand) --
 
     @cached_property
@@ -660,23 +665,33 @@ class SeparationSystem:
         """The position in oriented of the member with each join code."""
         return {c: i for i, c in enumerate(self.lattice_codes[0])}
 
-    def join_row(self, i):
-        """(row, joinable) of oriented[i], built on first use and kept.
+    @cached_property
+    def _join_rows(self):
+        return [None] * len(self.oriented)
 
-        row[j] is the position of join(oriented[i], oriented[j]), or -1
-        when that join leaves the system; joinable has bit j set iff it
-        stays.
-        """
-        rows = vars(self).setdefault("_join_rows", {})
-        if i not in rows:
+    @cached_property
+    def _joinable(self):
+        return [None] * len(self.oriented)
+
+    def join_row(self, i):
+        """row[j] is the position of join(oriented[i], oriented[j]), or -1
+        when that join leaves the system; built on first use and kept."""
+        row = self._join_rows[i]
+        if row is None:
             jc, join_pos = self.lattice_codes[0], self.join_pos
             row = tuple(map(join_pos.get, map(or_, repeat(jc[i]), jc), repeat(-1)))
-            joinable = 0
-            for j, p in enumerate(row):
-                if p >= 0:
-                    joinable |= 1 << j
-            rows[i] = (tuple(row), joinable)
-        return rows[i]
+            self._join_rows[i] = row
+        return row
+
+    def joinable(self, i):
+        """The positions j whose join with oriented[i] stays in the system,
+        as bits; built on first use, without the row, and kept."""
+        m = self._joinable[i]
+        if m is None:
+            jc, join_pos = self.lattice_codes[0], self.join_pos
+            bits = ["1" if jc[i] | c in join_pos else "0" for c in reversed(jc)]
+            m = self._joinable[i] = int("".join(bits), 2)
+        return m
 
     @cached_property
     def conflict_bits(self):
@@ -776,23 +791,23 @@ class SeparationSystem:
     def is_submodular(self) -> bool:
         return self.submodular_witness is None
 
+    def _nested_bits(self, i):
+        """The positions of the members nested with oriented[i]: those
+        comparable with it or with its inverse."""
+        up, down, j = self.up_bits, self.down_bits, self.inv_pos[i]
+        return up[i] | down[i] | up[j] | down[j]
+
     def nestedness_violation(self, seps):
-        """First crossing pair among the given unoriented separations."""
-        U = self.universe
-        for r, s in combinations(sorted(seps, key=U.sort_key), 2):
-            if not U.nested(r, s):
-                return (r, s)
-        return None
+        """First crossing pair among the given separations, members of the
+        system, in sort_key order."""
+        m = self.member_mask(seps)
+        return first_pair(self.oriented, m, lambda i: ~self._nested_bits(i))
 
     def restrict_nested(self, M):
         """Subsystem of members nested with every separation in M."""
-        # x is nested with m iff it is comparable with m or with m*
-        up, down, pos, inv = self.up_bits, self.down_bits, self.pos, self.inv_pos
         keep = (1 << len(self.oriented)) - 1
-        for m in M:
-            self.check_member(m)
-            i = pos[m]
-            keep &= up[i] | down[i] | up[inv[i]] | down[inv[i]]
+        for i in bit_positions(self.member_mask(M)):
+            keep &= self._nested_bits(i)
         return SeparationSystem(
             self.universe, [self.oriented[i] for i in bit_positions(keep)]
         )
@@ -860,38 +875,3 @@ def order_submodularity_violation(universe, elems=None):
             return elems[i], elems[j]
     return None
 
-
-def verify_universe_laws(universe, elems=None):
-    """Exhaustively assert poset, involution, lattice and De Morgan laws.
-
-    Intended for tests and for validating rule-based backends at small
-    scale; TablePoset runs the same checks at load time.
-    """
-    U = universe
-    if elems is None:
-        elems = U.elements()
-    elems = list(elems)
-    for x in elems:
-        assert U.leq(x, x), "leq not reflexive"
-        assert U.invert(U.invert(x)) == x, "involution not self-inverse"
-    for x in elems:
-        for y in elems:
-            if U.leq(x, y) and U.leq(y, x):
-                assert x == y, "leq not antisymmetric"
-            if U.leq(x, y):
-                assert U.leq(U.invert(y), U.invert(x)), "involution not order-reversing"
-            m, j = U.meet(x, y), U.join(x, y)
-            assert U.leq(m, x) and U.leq(m, y), "meet not a lower bound"
-            assert U.leq(x, j) and U.leq(y, j), "join not an upper bound"
-            assert U.invert(j) == U.meet(U.invert(x), U.invert(y)), "De Morgan fails"
-            if U.has_order:
-                assert U.order(x) == U.order(U.invert(x)), "order not symmetric"
-    for x in elems:
-        for y in elems:
-            for z in elems:
-                if U.leq(x, y) and U.leq(y, z):
-                    assert U.leq(x, z), "leq not transitive"
-                if U.leq(z, x) and U.leq(z, y):
-                    assert U.leq(z, U.meet(x, y)), "meet not greatest"
-                if U.leq(x, z) and U.leq(y, z):
-                    assert U.leq(U.join(x, y), z), "join not least"

@@ -26,9 +26,9 @@ from .trees import STree, irredundant_reduction
 def _emulates(S, si, ri):
     """True iff oriented[si] emulates oriented[ri]: it lies above it, and
     its join with every member above it other than its inverse stays in
-    S (the system's join rows)."""
+    S (the system's joinable masks)."""
     up = S.up_bits[ri]
-    return bool(up >> si & 1) and not up & ~(1 << S.inv_pos[ri]) & ~S.join_row(si)[1]
+    return bool(up >> si & 1) and not up & ~(1 << S.inv_pos[ri]) & ~S.joinable(si)
 
 
 def _shift_bits(S, si):
@@ -39,8 +39,7 @@ def _shift_bits(S, si):
     member's inverse).  -1 marks a join that leaves the system; OR-ed into
     an image it keeps the image negative, so it is never read as a bit.
     """
-    row, _ = S.join_row(si)
-    inv = S.inv_pos
+    row, inv = S.join_row(si), S.inv_pos
     above = [1 << p if p >= 0 else -1 for p in row]
     below = [1 << inv[row[ix]] if row[ix] >= 0 else -1 for ix in inv]
     return above + below

@@ -14,43 +14,20 @@ from itertools import combinations, compress, groupby, product, repeat
 from operator import itemgetter, or_
 
 from .config import DEFAULT_CAPS
-from .core import bit_positions
+from .core import bit_positions, first_pair
 from .errors import InputError, ResourceCapError
 
 
 def consistency_violation(S, O):
-    """First pair (a, b) in O with invert(a) < b, else None.
+    """First pair (a, b) in O, in sort_key order, with invert(a) < b,
+    else None.
 
     Such a pair means O orients some r strictly below b away from b.
     Only pairs on distinct separations count; a single co-small element
-    is fine.
+    is fine.  The relation is symmetric, as the involution reverses the
+    order, so the pair is read from the system's conflict table.
     """
-    U = S.universe
-    elems = sorted(O, key=U.sort_key)
-    for x in elems:
-        S.check_member(x)
-    if len(elems) == len(S):
-        # As large as an orientation: test every member against the
-        # system's conflict table, worth its O(n^2) build at this size, and
-        # scan pairs below only to name the first witness.
-        pos, conflict = S.pos, S.conflict_bits
-        omask = 0
-        for x in elems:
-            omask |= 1 << pos[x]
-        if not any(conflict[pos[x]] & omask for x in elems):
-            return None
-    for a, b in combinations(elems, 2):
-        if b == U.invert(a):
-            continue
-        if U.lt(U.invert(a), b):
-            return (a, b)
-        if U.lt(U.invert(b), a):
-            return (b, a)
-    return None
-
-
-def is_consistent(S, O) -> bool:
-    return consistency_violation(S, O) is None
+    return first_pair(S.oriented, S.member_mask(O), S.conflict_bits.__getitem__)
 
 
 def profile_violation(S, O):
@@ -79,39 +56,24 @@ def profile_violation(S, O):
     return None
 
 
-def is_profile(S, O) -> bool:
-    return profile_violation(S, O) is None
-
-
-def star_violation(U, sigma):
-    """None if sigma is a star: no degenerate member, r <= invert(s)."""
-    elems = sorted(sigma, key=U.sort_key)
-    for x in elems:
-        if x == U.invert(x):
-            return ("degenerate", x)
-    for x, y in combinations(elems, 2):
-        if not U.leq(x, U.invert(y)):
-            return ("not-star", (x, y))
-    return None
-
-
-def is_star(U, sigma) -> bool:
-    return star_violation(U, sigma) is None
-
-
-def _is_star_mask(S, m):
-    """is_star for a mask of positions in S.oriented: no degenerate
-    member, and the others all lie below each member's inverse."""
-    down, inv = S.down_bits, S.inv_pos
+def star_mask_violation(S, m):
+    """None if the members at the positions in mask m form a star, else
+    the first witness in sort_key order: ("degenerate", x) for a member
+    that is its own inverse, else ("not-star", (x, y)) for the first pair
+    with x not below invert(y), a relation the involution makes
+    symmetric."""
+    elems, down, inv = S.oriented, S.down_bits, S.inv_pos
     for i in bit_positions(m):
-        if inv[i] == i or m & ~(1 << i) & ~down[inv[i]]:
-            return False
-    return True
+        if inv[i] == i:
+            return ("degenerate", elems[i])
+    pair = first_pair(elems, m, lambda i: ~down[inv[i]])
+    return None if pair is None else ("not-star", pair)
 
 
 def _all_star_masks(S, masks):
-    """_is_star_mask for every mask at once: per position i, the union of
-    the masks holding i, less i, must lie below the inverse of i."""
+    """star_mask_violation for every mask at once: per position i, the
+    union of the masks holding i, less i, must lie below the inverse of
+    i."""
     down, inv = S.down_bits, S.inv_pos
     union = [0] * len(S.oriented)
     for m in masks:
@@ -187,22 +149,15 @@ class StarFamily:
     every element with system.check_member, maps each set to its mask,
     and keeps the masks as from_masks keeps a tuple of them.  With
     require_stars, the first set in the order given that is not a star
-    raises InputError with star_violation's witness, once every element
-    has passed check_member.  Membership, length and iteration are
+    raises InputError with star_mask_violation's witness, once every
+    element has passed check_member.  Membership, length and iteration are
     answered from the masks; the frozensets of `stars` are built only on
     first use.
     """
 
     def __init__(self, system, stars, require_stars=True, name=None,
                  closed_under_shifting=False):
-        pos, check = system.pos, system.check_member
-        masks = []
-        for sigma in stars:
-            m = 0
-            for x in sigma:
-                check(x)
-                m |= 1 << pos[x]
-            masks.append(m)
+        masks = list(map(system.member_mask, stars))
         self._keep(system, tuple(masks), masks, require_stars, name,
                    closed_under_shifting)
 
@@ -213,7 +168,7 @@ class StarFamily:
         system.oriented, repeats dropped.  A mask with a position past
         the end of system.oriented raises InputError.  When require_stars
         is set, the first kept mask that is not a star raises InputError
-        with star_violation's witness.
+        with star_mask_violation's witness.
 
         The masks are kept as a tuple.  A set of them, whose table alone
         is about as large as the masks and the tuple together, is built
@@ -240,14 +195,12 @@ class StarFamily:
         if max(self._masks, default=0) >> len(system.oriented):
             raise InputError("family mask holds a position outside the system")
         if require_stars and not _all_star_masks(system, self._masks):
-            bad = next(m for m in given or self._masks
-                       if not _is_star_mask(system, m))
+            bad = map(star_mask_violation, repeat(system), given or self._masks)
             raise InputError(
-                "family member is not a star: "
-                f"{star_violation(system.universe, self._star_of(bad))}"
+                f"family member is not a star: {next(filter(None, bad))}"
             )
-        self.stars_only = require_stars or all(
-            _is_star_mask(system, m) for m in self._masks
+        self.stars_only = require_stars or not any(
+            map(star_mask_violation, repeat(system), self._masks)
         )
 
     @cached_property
@@ -338,9 +291,6 @@ class StarFamily:
         iterates."""
         return self._star_of(self.masks_sorted[i])
 
-    def star_key(self, sigma):
-        return star_order(self.system)(sigma)
-
     def extended(self, extra, name=None):
         """New family with the given stars added; only those are checked.
 
@@ -374,10 +324,6 @@ def f_tangle_violation(S, O, family):
         if sigma <= Oset:
             return ("excluded", sigma)
     return None
-
-
-def is_f_tangle(S, O, family) -> bool:
-    return f_tangle_violation(S, O, family) is None
 
 
 def profile_star_family(S) -> StarFamily:
@@ -575,23 +521,20 @@ def orientation_of(S, s, O):
     raise InputError(f"orientation undecided on {U.format_pair(s)}")
 
 
-def distinguishes(S, s, O1, O2) -> bool:
-    U = S.universe
-    S.check_member(s)
-    if s == U.invert(s):
-        raise InputError("a degenerate separation distinguishes nothing")
-    return orientation_of(S, s, O1) != orientation_of(S, s, O2)
-
-
 def undistinguished_pair(S, N, orientations):
-    """First pair of distinct orientations no separation in N splits."""
+    """First pair of distinct orientations no separation in N splits.
+
+    Each orientation is read on the non-degenerate members of N as a mask
+    of positions in S.oriented (see orientation_of), so two are split iff
+    the XOR of their masks is not 0.  A separation of N that is not a
+    member, or that some orientation leaves undecided, raises InputError.
+    """
+    inv, elems = S.inv_pos, S.oriented
+    nset = [elems[i] for i in bit_positions(S.member_mask(N)) if inv[i] != i]
     ors = list(orientations)
-    U = S.universe
-    nset = [s for s in N if s != U.invert(s)]
-    for O1, O2 in combinations(ors, 2):
-        if O1 == O2:
-            continue
-        if not any(distinguishes(S, s, O1, O2) for s in nset):
+    masks = [S.member_mask(orientation_of(S, s, O) for s in nset) for O in ors]
+    for (O1, m1), (O2, m2) in combinations(zip(ors, masks), 2):
+        if not m1 ^ m2 and O1 != O2:
             return (O1, O2)
     return None
 
@@ -599,11 +542,7 @@ def undistinguished_pair(S, N, orientations):
 def maximal_members(S, subset):
     """The leq-maximal elements of a subset of the system, sorted: those
     with no other member of the subset strictly above them."""
-    pos, strict_up = S.pos, S.strict_up_bits
-    mask = 0
-    for x in subset:
-        S.check_member(x)
-        mask |= 1 << pos[x]
+    strict_up, mask = S.strict_up_bits, S.member_mask(subset)
     return tuple(
         S.oriented[i] for i in bit_positions(mask) if not strict_up[i] & mask
     )

@@ -16,7 +16,7 @@ from .core import (
     weighted_cut,
 )
 from .errors import InputError
-from .orient import StarFamily, star_violation
+from .orient import StarFamily, star_mask_violation
 from . import duality
 from .graphsep import Graph
 
@@ -104,7 +104,7 @@ def random_shift_closed_family(rng: random.Random, S, upsets=1, stars=1, repair_
     for _ in range(stars):
         size = rng.choice((1, 2, 2, 3))
         pick = frozenset(rng.sample(elems, min(size, len(elems))))
-        if star_violation(U, pick) is None:
+        if star_mask_violation(S, S.member_mask(pick)) is None:
             fam_stars.add(pick)
     try:
         fam = StarFamily(S, fam_stars)

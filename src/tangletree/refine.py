@@ -19,17 +19,24 @@ def closely_related_violation(S, s, P):
     """None if s is closely related to P, else a witness.
 
     ("not-member",) when s is not in P; otherwise ("meet-escapes", r)
-    for the first member r of P whose meet with s leaves the system.
+    for the first member r of P, in sort_key order, whose meet with s
+    leaves the system.  On positions: s ^ r = (s* v r*)* and S is closed
+    under inversion, so the meet stays in S iff r* is joinable with s*.
     """
-    U = S.universe
     S.check_member(s)
     Pset = frozenset(P)
     if s not in Pset:
         return ("not-member",)
-    for r in sorted(Pset, key=U.sort_key):
-        if U.meet(s, r) not in S.members:
-            return ("meet-escapes", r)
-    return None
+    for x in Pset - S.members:
+        S.check_member(x)  # raises: x is not a member
+    pos, inv = S.pos, S.inv_pos
+    ps = list(map(pos.__getitem__, Pset))
+    # the bits of the inverses of P's members: distinct, so their sum is their OR
+    duals = sum(map((1).__lshift__, map(inv.__getitem__, ps)))
+    escaped = duals & ~S.joinable(inv[pos[s]])
+    if not escaped:
+        return None
+    return ("meet-escapes", S.oriented[min(p for p in ps if escaped >> inv[p] & 1)])
 
 
 def closely_related(S, s, P) -> bool:
@@ -38,18 +45,16 @@ def closely_related(S, s, P) -> bool:
 
 def good(S, s, profiles) -> bool:
     """True iff the orientations of s are closely related to two
-    distinct profiles from the collection."""
+    distinct profiles from the collection.  Closeness is asked once per
+    profile for s, and for s* until a profile other than the only one
+    close to s (if there is only one) is found."""
     U = S.universe
     S.check_member(s)
     x, y = s, U.invert(s)
     plist = list(profiles)
-    for i, P in enumerate(plist):
-        for j, Q in enumerate(plist):
-            if i == j:
-                continue
-            if closely_related(S, x, P) and closely_related(S, y, Q):
-                return True
-    return False
+    near_x = [i for i, P in enumerate(plist) if closely_related(S, x, P)]
+    return any(closely_related(S, y, Q) for j, Q in enumerate(plist)
+               if near_x and near_x != [j])
 
 
 def distinguishes_well(S, s, P1, P2) -> bool:
@@ -148,7 +153,7 @@ def refine_star(S, sigma, family, witnesses=None, tangles=None, caps=DEFAULT_CAP
     sigma = frozenset(sigma)
     if not sigma:
         raise InputError("cannot refine an empty star")
-    bad = orient.star_violation(U, sigma)
+    bad = orient.star_mask_violation(S, S.member_mask(sigma))
     if bad is not None:
         raise InputError(f"not a star: {bad}")
     members = sorted(sigma, key=U.sort_key)

@@ -96,11 +96,10 @@ def nodes_of(N: NestedSet, caps=DEFAULT_CAPS):
     if bad is not None and bad[0] == "degenerate":
         raise InputError(f"not a tree set: {bad}")
     sub = N.subsystem
-    U = N.system.universe
     nodes = set()
     for O in orient.enumerate_tangles(sub, None, caps):
         sigma = frozenset(orient.maximal_members(sub, O))
-        if orient.star_violation(U, sigma) is not None:
+        if orient.star_mask_violation(sub, sub.member_mask(sigma)) is not None:
             raise IntegrityError(f"node is not a star: {sigma}")
         nodes.add(sigma)
     return tuple(sorted(nodes, key=orient.star_order(sub)))
@@ -109,23 +108,21 @@ def nodes_of(N: NestedSet, caps=DEFAULT_CAPS):
 def lives_at(S, O, N: NestedSet):
     """The node of N at whose region the consistent orientation O sits.
 
-    Computed directly: restrict O to N and take maximal elements.  For
-    regular tree sets this is the unique node contained in O.
+    Computed directly, on positions in N.subsystem: restrict O to N (s
+    where O holds s, else s*) and take maximal elements.  For regular tree
+    sets this is the unique node contained in O.
     """
-    U = S.universe
+    U, sub = S.universe, N.subsystem
+    pos, inv, elems = sub.pos, sub.inv_pos, sub.oriented
     restricted = []
     for s in N.sorted_members:
-        t = U.invert(s)
-        if s in O:
-            restricted.append(s)
-        elif t in O:
-            restricted.append(t)
-        else:
+        x = s if s in O else elems[inv[pos[s]]]
+        if x not in O:
             raise InputError(f"orientation does not decide {U.format_pair(s)}")
-    bad = orient.consistency_violation(S, restricted)
+        restricted.append(x)
+    bad = orient.consistency_violation(sub, restricted)
     if bad is not None:
         raise InputError(f"orientation inconsistent on the nested set: {bad}")
-    sub = N.subsystem
     return frozenset(orient.maximal_members(sub, restricted))
 
 
@@ -238,7 +235,6 @@ class STree:
         return tuple(sorted(self.alpha))
 
     def validate(self, family=None) -> StreeReport:
-        U = self.system.universe
         over = None
         witness = None
         if family is not None:
@@ -255,80 +251,37 @@ class STree:
                 irred = False
                 witness = witness or ("redundant-at", t)
                 break
+        # on positions in S.oriented: a star is untight where it holds
+        # the inverse of a non-degenerate member
+        S = self.system
+        pos, inv, up = S.pos, S.inv_pos, S.up_bits
         tight = True
         for t in range(self.n):
             sig = self.star_at(t)
-            for x in sig:
-                if x != U.invert(x) and U.invert(x) in sig:
-                    tight = False
-                    witness = witness or ("untight-at", t, x)
-                    break
-            if not tight:
+            m = S.member_mask(sig)
+            x = next((x for x in sig
+                      if inv[pos[x]] != pos[x] and m >> inv[pos[x]] & 1), None)
+            if x is not None:
+                tight = False
+                witness = witness or ("untight-at", t, x)
                 break
         # adjacent-step check suffices: the edge order is generated by
         # steps (x,t) <= (t,y) and U's order is transitive
         order_ok = True
         for t in range(self.n):
-            for x in sorted(self.adj[t]):
-                for y in sorted(self.adj[t]):
-                    if x == y:
-                        continue
-                    if not U.leq(self.alpha[(x, t)], self.alpha[(t, y)]):
-                        order_ok = False
-                        witness = witness or ("order-violation", (x, t), (t, y))
-                        break
-                if not order_ok:
+            nbrs = sorted(self.adj[t])
+            outs = [pos[self.alpha[(t, y)]] for y in nbrs]
+            for x in nbrs:
+                above = up[pos[self.alpha[(x, t)]]]
+                y = next((y for y, q in zip(nbrs, outs)
+                          if y != x and not above >> q & 1), None)
+                if y is not None:
+                    order_ok = False
+                    witness = witness or ("order-violation", (x, t), (t, y))
                     break
             if not order_ok:
                 break
         return StreeReport(True, over, irred, tight, order_ok, witness)
-
-    # -- canonical content encoding, for isomorphism tests --
-
-    def _enc(self, v, parent):
-        U = self.system.universe
-        items = []
-        for w in self.adj[v]:
-            if w == parent:
-                continue
-            items.append((U.sort_key(self.alpha[(w, v)]), self._enc(w, v)))
-        return tuple(sorted(items))
-
-    def canonical_encoding(self):
-        """Label-aware AHU encoding; equal iff trees are isomorphic."""
-        if self.n == 1:
-            return ("single",)
-        # peel to the 1- or 2-vertex centre
-        deg = {v: len(self.adj[v]) for v in range(self.n)}
-        alive = set(range(self.n))
-        layer = [v for v in alive if deg[v] <= 1]
-        while len(alive) > 2:
-            nxt = []
-            for v in layer:
-                alive.discard(v)
-            for v in layer:
-                for w in self.adj[v]:
-                    if w in alive:
-                        deg[w] -= 1
-                        if deg[w] == 1:
-                            nxt.append(w)
-            layer = nxt
-        U = self.system.universe
-        if len(alive) == 1:
-            (c,) = alive
-            return ("centered", self._enc(c, None))
-        u, v = sorted(alive)
-        halves = sorted(
-            [
-                (U.sort_key(self.alpha[(u, v)]), self._enc(u, v)),
-                (U.sort_key(self.alpha[(v, u)]), self._enc(v, u)),
-            ]
-        )
-        return ("bicentered", tuple(halves))
-
-
-def stree_isomorphic(T1: STree, T2: STree) -> bool:
-    return T1.canonical_encoding() == T2.canonical_encoding()
 
 
 def treeset_to_stree(N: NestedSet, caps=DEFAULT_CAPS) -> STree:
@@ -361,23 +314,6 @@ def treeset_to_stree(N: NestedSet, caps=DEFAULT_CAPS) -> STree:
         # vertex i was built from node i, so this cannot fire
         raise IntegrityError("tree stars do not match the nodes")
     return tree
-
-
-def stree_to_treeset(T: STree) -> NestedSet:
-    U = T.system.universe
-    seps = set()
-    for (u, v), lab in T.alpha.items():
-        if lab == U.invert(lab):
-            raise DomainError(f"edge ({u},{v}) carries a degenerate label")
-        seps.add(U.canon(lab))
-    try:
-        N = NestedSet(T.system, seps)
-    except InputError as e:
-        raise DomainError(f"alpha image is not nested: {e}") from None
-    bad = N.treeset_violation()
-    if bad is not None:
-        raise DomainError(f"alpha image is not a tree set: {bad}")
-    return N
 
 
 # -- irredundant / tight reduction --

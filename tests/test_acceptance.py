@@ -226,7 +226,7 @@ def _corner_nestedness_suite():
             for s in canon[i + 1:]:
                 if U.nested(r, s):
                     continue
-                corners = U.corner_separations(r, s)
+                corners = oracles.corner_separations(U, r, s)
                 for t in canon:
                     if U.nested(t, r) and U.nested(t, s):
                         for c in corners:
@@ -465,7 +465,7 @@ def test_criterion_4_construction_post_checks():
                 node = trees.lives_at(S, rec.profile, res.nested)
                 assert rec.s_p in node, name
             assert (
-                canonical.inessential_closeness_violation(
+                oracles.inessential_closeness_violation(
                     S, res.nested, profs, CAPS
                 )
                 is None

@@ -7,6 +7,7 @@ import pytest
 from tangletree import canonical, graphsep, orient, randomgen, refine, trees
 from tangletree.errors import InputError, IntegrityError
 
+import oracles
 from conftest import BIG_CAPS, away_from
 
 
@@ -94,17 +95,17 @@ def test_good_nested_set_matches(u4, s4, profiles4):
 
 def test_find_well_distinguisher(u4, s4, profiles4):
     Pa, Pb = profiles4[0], profiles4[1]
-    s = canonical.find_well_distinguisher(s4, Pa, Pb, [])
+    s = oracles.find_well_distinguisher(s4, Pa, Pb, [])
     assert u4.canon(s) == u4.canon(u4.mask_of(["a"]))
     with pytest.raises(InputError):
-        canonical.find_well_distinguisher(s4, Pa, Pa, [])
+        oracles.find_well_distinguisher(s4, Pa, Pa, [])
 
 
 def test_inessential_closeness_on_tripod(tripod):
     G, S, fam = tripod
     tangles = orient.enumerate_tangles(S, fam, BIG_CAPS)
     res = canonical.canonical_nested_set(S, tangles, BIG_CAPS)
-    assert canonical.inessential_closeness_violation(
+    assert oracles.inessential_closeness_violation(
         S, res.nested, tangles, BIG_CAPS
     ) is None
 

@@ -170,6 +170,14 @@ def test_tiny_cap_is_resource_error(capsys, path4):
     assert "resource cap" in err
 
 
+@pytest.mark.parametrize("cap", ["0", "-3"])
+def test_non_positive_cap_is_input_error(capsys, path4, cap):
+    # 0 once ran with the default cap, and -3 ended as a resource cap
+    code, out, err = run(capsys, "tangles", path4, "--k", "2", "--max-seps", cap)
+    assert code == 2 and out == ""
+    assert err == f"input error: --max-seps must be positive, got {cap}\n"
+
+
 def test_unknown_family_is_input_error(capsys, path4):
     code, _, err = run(
         capsys, "tangles", path4, "--k", "2", "--family", "wavelets"

@@ -17,6 +17,7 @@ from tangletree.cli import main
 from tangletree.config import Caps
 from tangletree.errors import InputError
 
+import oracles
 from conftest import BIG_CAPS, triangle_tripod_edges
 
 REPO = Path(__file__).resolve().parent.parent
@@ -109,7 +110,7 @@ def test_cli_duality_refuses_with_exit_2(capsys, tmp_path, case):
 def test_constructions_refuse_a_non_submodular_system():
     S, fam = _loaded("not-submodular")
     profiles = [
-        O for O in orient.consistent_orientations(S) if orient.is_profile(S, O)
+        O for O in orient.consistent_orientations(S) if oracles.is_profile(S, O)
     ]
     assert len(profiles) >= 2
     for build in (canonical.canonical_nested_set, canonical.good_nested_set):

@@ -73,12 +73,13 @@ def test_bit_tables_match_the_universe(tripod):
         )
         assert S.strict_down_bits[j] == S.down_bits[j] & ~(1 << j)
     for i in (0, len(elems) // 2, len(elems) - 1):
-        row, joinable = S.join_row(i)
+        row, joinable = S.join_row(i), S.joinable(i)
         for j, x in enumerate(elems):
             z = U.join(elems[i], x)
             assert row[j] == (S.pos[z] if z in S.members else -1)
             assert (joinable >> j & 1) == (z in S.members)
         assert S.join_row(i) is S.join_row(i)  # built once, then kept
+        assert S.joinable(i) is S.joinable(i)
 
 
 def test_bit_tables_mark_joins_that_leave_the_system(u4):
@@ -86,7 +87,7 @@ def test_bit_tables_mark_joins_that_leave_the_system(u4):
         u4, [u4.mask_of(["a"]), u4.mask_of(["a", "b"]), u4.mask_of(["a", "c"])]
     )
     i = sub.pos[u4.mask_of(["a", "b"])]
-    row, joinable = sub.join_row(i)
+    row, joinable = sub.join_row(i), sub.joinable(i)
     j = sub.pos[u4.mask_of(["a", "c"])]
     assert row[j] == -1 and not joinable >> j & 1
 

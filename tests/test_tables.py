@@ -16,6 +16,7 @@ from tangletree.core import (
     bit_column,
 )
 
+import oracles
 from conftest import BIG_CAPS, triangle_tripod_edges
 from test_profiles import _chain_product
 
@@ -188,7 +189,7 @@ def test_stars_sorted_matches_the_tuple_order():
         U = fam.system.universe
         want = tuple(sorted(fam.stars, key=lambda s: literal_star_key(U, s)))
         assert fam.stars_sorted == want
-        keys = [fam.star_key(s) for s in want]
+        keys = [oracles.star_key(fam, s) for s in want]
         assert keys == sorted(keys) and len(set(keys)) == len(keys)
         sizes |= {len(s) for s in want}
     assert sizes >= {1, 2, 3}

@@ -2,11 +2,12 @@
 
 import pytest
 
-from tangletree import orient, trees
+from tangletree import trees
 from tangletree.config import Caps
 from tangletree.core import SeparationSystem, TablePoset
 from tangletree.errors import InputError, ResourceCapError
 
+import oracles
 from conftest import away_from
 
 
@@ -84,7 +85,7 @@ def test_stree_roundtrip(u4, s4, n2):
     assert len(T.edges) == 2
     assert {u4.canon(x) for x in T.alpha.values()} == set(n2.members)
     assert T.validate().all_good(need_family=False)
-    back = trees.stree_to_treeset(T)
+    back = oracles.stree_to_treeset(T)
     assert back.members == n2.members
 
 
@@ -93,14 +94,14 @@ def test_stree_leaves_and_stars(u4, s4, n2):
     assert len(T.leaves()) == 2
     assert len(T.leaf_separations()) == 2
     for v in range(T.n):
-        assert orient.is_star(u4, T.star_at(v))
+        assert oracles.is_star(u4, T.star_at(v))
 
 
 def test_stree_canonical_encoding_stable(u4, s4, n2):
     T1 = trees.treeset_to_stree(n2)
     T2 = trees.treeset_to_stree(trees.NestedSet(s4, list(reversed(list(n2)))))
-    assert T1.canonical_encoding() == T2.canonical_encoding()
-    assert trees.stree_isomorphic(T1, T2)
+    assert oracles.canonical_encoding(T1) == oracles.canonical_encoding(T2)
+    assert oracles.stree_isomorphic(T1, T2)
 
 
 def test_stree_edge_order(u4, s4, n2):
@@ -125,4 +126,4 @@ def test_tree_cap(u4, s4, n2):
 def test_irredundant_reduction_no_op(u4, s4, n2):
     T = trees.treeset_to_stree(n2)
     R = trees.irredundant_reduction(T, keep=tuple(T.leaf_separations()))
-    assert R.canonical_encoding() == T.canonical_encoding()
+    assert oracles.canonical_encoding(R) == oracles.canonical_encoding(T)
