@@ -2,6 +2,7 @@
 
     python3 scripts/ab_ops.py --a ../parent --workload duality-files --reps 15
     python3 scripts/ab_ops.py --a ../parent --b . --workload graph-ladder --seed 3
+    python3 scripts/ab_ops.py --a ../parent --workload graph-ladder --memory
 
 Copies the `src/tangletree` of each checkout into a temporary directory
 under its own package name (`tangletree_a`, `tangletree_b`), so both
@@ -16,10 +17,17 @@ goes first on every repetition; each call is timed in CPU time of this
 process.  Prints one line per operation (the median of each side and the
 change), then the round sum: the sum of the per-operation medians.
 
+With --memory, after the timed repetitions, every operation runs once
+more on each side under `tracemalloc`, untimed, and a second table
+gives each side's traced peak in MB and the change.  The peak counts
+the Python allocations of that one warm call, the captured output
+included; it is not the process's resident memory.
+
 Both sides share one process, its heap and its load, so this sizes a
 change with less run-to-run spread than two separate processes.  It
-measures CPU time, not wall time or memory, and does not replace the
-parent/change pairs of `benchmark/run.py`.
+measures CPU time and, with --memory, traced peaks, not wall time or
+resident memory, and does not replace the parent/change pairs of
+`benchmark/run.py`.
 """
 
 import argparse
@@ -31,6 +39,7 @@ import statistics
 import sys
 import tempfile
 import time
+import tracemalloc
 from importlib import import_module
 
 HERE = os.path.dirname(os.path.abspath(__file__))
@@ -61,6 +70,25 @@ def call(cli, argv):
     return spent, str(rc), out.getvalue(), err.getvalue()
 
 
+def traced_peak(cli, argv):
+    """The traced peak, in bytes, of one call, kept apart from any timing."""
+    tracemalloc.start()
+    try:
+        call(cli, argv)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def table(labels, a, b, unit, scale):
+    """One line per operation: each side's value and the change."""
+    width = max(map(len, labels))
+    print(f"{'operation':<{width}}  {'A ' + unit:>9}  {'B ' + unit:>9}  change")
+    for label, x, y in zip(labels, a, b):
+        change = f"{100 * (y - x) / x:+.1f} %" if x else "-"
+        print(f"{label:<{width}}  {scale * x:9.2f}  {scale * y:9.2f}  {change}")
+
+
 def main():
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("--a", required=True, help="checkout of side A (the baseline)")
@@ -69,6 +97,8 @@ def main():
     ap.add_argument("--workload", required=True)
     ap.add_argument("--seed", type=int, default=1)
     ap.add_argument("--reps", type=int, default=11)
+    ap.add_argument("--memory", action="store_true",
+                    help="also one untimed call per side under tracemalloc: traced peaks")
     args = ap.parse_args()
 
     roots = {"a": os.path.abspath(args.a), "b": os.path.abspath(args.b)}
@@ -94,16 +124,18 @@ def main():
                 for k in order:
                     times[k][i].append(call(sides[k], op.argv)[0])
 
+        if args.memory:
+            peaks = {k: [traced_peak(sides[k], op.argv) for op in ops] for k in "ab"}
+
+    labels = [op.label for op in ops]
     med = {k: [statistics.median(t) for t in times[k]] for k in "ab"}
-    width = max(len(op.label) for op in ops)
-    print(f"{'operation':<{width}}  {'A ms':>9}  {'B ms':>9}  change")
-    for i, op in enumerate(ops):
-        a, b = med["a"][i], med["b"][i]
-        change = f"{100 * (b - a) / a:+.1f} %" if a else "-"
-        print(f"{op.label:<{width}}  {1e3 * a:9.2f}  {1e3 * b:9.2f}  {change}")
+    table(labels, med["a"], med["b"], "ms", 1e3)
     a, b = sum(med["a"]), sum(med["b"])
     print(f"round sum: A {1e3 * a:.1f} ms, B {1e3 * b:.1f} ms, "
           f"{100 * (b - a) / a:+.1f} % ({len(ops)} operations, {args.reps} reps)")
+    if args.memory:
+        print()
+        table(labels, peaks["a"], peaks["b"], "MB", 1e-6)
 
 
 if __name__ == "__main__":

@@ -297,7 +297,9 @@ class Isomorphism:
 
     Lattice compatibility (joins land inside the image system exactly
     when they do at home) is what the good-separations construction
-    additionally needs; it is checked on demand, not assumed.
+    additionally needs; it is checked on demand, not assumed.  Both
+    checks read the systems' position tables through _perm, the target
+    position of the image of each member of source.oriented.
     """
 
     def __init__(self, source, target, mapping):
@@ -313,10 +315,19 @@ class Isomorphism:
         for x in source.oriented:
             if self.mapping[U1.invert(x)] != U2.invert(self.mapping[x]):
                 raise InputError("mapping does not commute with the involution")
-        for x in source.oriented:
-            for y in source.oriented:
-                if U1.leq(x, y) != U2.leq(self.mapping[x], self.mapping[y]):
-                    raise InputError("mapping does not respect the order")
+        pos = target.pos
+        self._perm = perm = [pos[self.mapping[x]] for x in source.oriented]
+        # x <= y at home iff their images compare: the up row of each
+        # member, moved through perm, is the up row of its image
+        up = target.up_bits
+        for i, row in enumerate(source.up_bits):
+            img = 0
+            while row:
+                b = row & -row
+                img |= 1 << perm[b.bit_length() - 1]
+                row ^= b
+            if img != up[perm[i]]:
+                raise InputError("mapping does not respect the order")
 
     def apply(self, x):
         try:
@@ -334,17 +345,19 @@ class Isomorphism:
         return frozenset(self.apply_separation(s) for s in members)
 
     def lattice_violation(self):
-        """First pair whose join-membership the mapping fails to mirror."""
-        U1, U2 = self.source.universe, self.target.universe
-        mem1, mem2 = self.source.members, self.target.members
-        for x in self.source.oriented:
-            for y in self.source.oriented:
-                j = U1.join(x, y)
-                j2 = U2.join(self.mapping[x], self.mapping[y])
-                if (j in mem1) != (j2 in mem2):
-                    return (x, y)
-                if j in mem1 and self.mapping[j] != j2:
-                    return (x, y)
+        """First pair (x, y) of source members, in sort_key order, whose
+        join-membership the mapping fails to mirror: the join lies in
+        one system only, or in both but not at the image.  Each row of
+        the source's join table, moved through perm (-1 stays -1), must
+        equal its image's row read at the images."""
+        source, target, perm = self.source, self.target, self._perm
+        moved = perm + [-1]
+        for i, x in enumerate(source.oriented):
+            got = list(map(moved.__getitem__, source.join_row(i)))
+            want = list(map(target.join_row(perm[i]).__getitem__, perm))
+            if got != want:
+                j = next(j for j, (a, b) in enumerate(zip(got, want)) if a != b)
+                return (x, source.oriented[j])
         return None
 
     def lattice_compatible(self) -> bool:

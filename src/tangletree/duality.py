@@ -223,7 +223,8 @@ def shift_stree(T: STree, r, s, family) -> STree:
     bits = _shift_bits(S, si)
     if family is not None:
         masks = family.masks_over(S)
-        # validate has built the family's own set of masks: use it
+        # the scan asks once per star in scope: keep the family's own set
+        # of masks, built at its first shift, for every later one
         in_family = family._mask_set if masks is family.masks_sorted else set(masks)
         k = _unshifted(_shift_scope(S, ri, masks), bits, in_family)
         if k is not None:
@@ -267,16 +268,21 @@ def _cover_fixpoint(S, family):
     covers its own uncovered members in the order in which family.star
     iterates them.
     """
+    # imported here, not with the module, so that the runs that never
+    # reach the fixpoint (tangles, the canonical trees) load nothing more
+    from array import array
+
     masks = family.masks_over(S)
     pos, inv = S.pos, S.inv_pos
-    at = [[] for _ in S.oriented]  # at[p]: the stars holding position p
+    # at[p]: the stars holding position p, in ascending index order
+    at = [array("i") for _ in S.oriented]
     for si, m in enumerate(masks):
         while m:
-            b = m & -m
-            at[b.bit_length() - 1].append(si)
-            m ^= b
+            hi = m.bit_length() - 1
+            at[hi].append(si)
+            m ^= 1 << hi
     # need[si]: the members of star si whose inverse is not yet popped
-    need = [m.bit_count() for m in masks]
+    need = array("i", map(int.bit_count, masks))
     covered = [None] * len(S.oriented)
     queue = []
     roots = bytearray(len(masks))

@@ -336,11 +336,16 @@ def tk_star_family(G: Graph, k, S=None, caps=DEFAULT_CAPS) -> StarFamily:
         if len(singles) + len(pairs) + len(triples) > caps.max_results:
             raise ResourceCapError("covering-star family too large")
 
+    # drop the caches and join the lists in place, so that neither lies
+    # under the family's own build
+    del reach, holding
+    singles += pairs
+    singles += triples
+    del pairs, triples
     # closure under shifting is a theorem for this family (Diestel & Oum);
     # the duality gate still verifies it where the system is small enough
     return StarFamily.from_masks(
-        S, singles + pairs + triples, name=f"tk-star(k={k})",
-        closed_under_shifting=True,
+        S, singles, name=f"tk-star(k={k})", closed_under_shifting=True,
     )
 
 

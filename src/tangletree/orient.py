@@ -71,20 +71,32 @@ def star_mask_violation(S, m):
 
 
 def _all_star_masks(S, masks):
-    """star_mask_violation for every mask at once: per position i, the
-    union of the masks holding i, less i, must lie below the inverse of
-    i."""
+    """star_mask_violation for every mask at once: no position of any
+    mask is degenerate, and per position i, the union of the masks
+    united at i, less i, lies below the inverse of i.
+
+    The relation x <= y* is symmetric, so a pair of members is tested
+    at either end.  A mask of at most three members is united at its
+    lowest and its highest position only, which between them meet every
+    pair; a larger mask is united at each of its positions."""
     down, inv = S.down_bits, S.inv_pos
     union = [0] * len(S.oriented)
+    every = 0
     for m in masks:
+        every |= m
+        if m.bit_count() <= 3:  # the empty mask ORs 0 into union[-1]
+            union[(m & -m).bit_length() - 1] |= m
+            union[m.bit_length() - 1] |= m
+            continue
         rest = m
         while rest:
             b = rest & -rest
             union[b.bit_length() - 1] |= m
             rest ^= b
+    if any(inv[i] == i for i in bit_positions(every)):
+        return False
     return not any(
-        u and (inv[i] == i or u & ~(1 << i) & ~down[inv[i]])
-        for i, u in enumerate(union)
+        u & ~(1 << i) & ~down[inv[i]] for i, u in enumerate(union) if u
     )
 
 
@@ -170,12 +182,14 @@ class StarFamily:
         is set, the first kept mask that is not a star raises InputError
         with star_mask_violation's witness.
 
-        The masks are kept as a tuple.  A set of them, whose table alone
-        is about as large as the masks and the tuple together, is built
-        only when membership is asked.  A list already in star order
+        The masks are kept as a tuple.  A list already in star order
         (tk_star_family emits one) holds no repeats and is kept in that
         order, as masks_sorted too; any other input is sorted by value,
-        which drops the repeats, and into star order on first use."""
+        which drops the repeats, and into star order on first use.
+        Membership is a binary search of masks_sorted.  A set of the
+        masks, whose table alone is about as large as the masks and the
+        tuple together, is built only for duality.shift_stree, which
+        asks once per star in the shift's scope."""
         self = cls.__new__(cls)
         self._keep(system, masks, None, require_stars, name,
                    closed_under_shifting)
@@ -260,10 +274,15 @@ class StarFamily:
         return len(self._masks)
 
     def __contains__(self, sigma):
+        """True iff sigma is a member: a binary search of masks_sorted by
+        mask_order, whose key tells masks apart."""
         try:
-            return _mask_of(self.system.pos, sigma) in self._mask_set
+            m = _mask_of(self.system.pos, sigma)
         except KeyError:  # not a set of members
             return False
+        masks, key = self.masks_sorted, mask_order(self.system)
+        i = bisect_left(masks, key(m), key=key)
+        return i < len(masks) and masks[i] == m
 
     @cached_property
     def stars_sorted(self):

@@ -8,8 +8,9 @@ S.oriented; the tests compare the two.
 
 Below them, the certificate predicates the same way: stars,
 consistency, close relationship, where an orientation lives,
-nestedness, distinguishing, and the tight and order scans of an S-tree,
-each the pair loop that src replaced by a body over positions.  Last,
+nestedness, distinguishing, the tight and order scans of an S-tree, and
+the order and lattice checks of a canonical.Isomorphism, each the pair
+loop that src replaced by a body over positions.  Last,
 helpers that only tests call: the universe laws, corner separations,
 the S-tree encoding, and a few thin wrappers.
 """
@@ -369,6 +370,33 @@ def validate(self, family=None) -> StreeReport:
         if not order_ok:
             break
     return StreeReport(True, over, irred, tight, order_ok, witness)
+
+
+def isomorphism_respects_order(source, target, mapping):
+    """Isomorphism's order check pair by pair: x <= y in source iff
+    mapping[x] <= mapping[y] in target."""
+    U1, U2 = source.universe, target.universe
+    for x in source.oriented:
+        for y in source.oriented:
+            if U1.leq(x, y) != U2.leq(mapping[x], mapping[y]):
+                return False
+    return True
+
+
+def lattice_violation(self):
+    """Isomorphism.lattice_violation pair by pair against the universes'
+    joins."""
+    U1, U2 = self.source.universe, self.target.universe
+    mem1, mem2 = self.source.members, self.target.members
+    for x in self.source.oriented:
+        for y in self.source.oriented:
+            j = U1.join(x, y)
+            j2 = U2.join(self.mapping[x], self.mapping[y])
+            if (j in mem1) != (j2 in mem2):
+                return (x, y)
+            if j in mem1 and self.mapping[j] != j2:
+                return (x, y)
+    return None
 
 
 # -- helpers only tests call --

@@ -5,10 +5,12 @@ import random
 import pytest
 
 from tangletree import canonical, graphsep, orient, randomgen, refine, trees
+from tangletree.core import BipartitionUniverse, SeparationSystem
 from tangletree.errors import InputError, IntegrityError
 
 import oracles
 from conftest import BIG_CAPS, away_from
+from test_profiles import SYSTEMS
 
 
 @pytest.fixture()
@@ -191,3 +193,47 @@ def test_refined_tree_of_tangles_tripod(tripod):
     assert len(res.canonical.rounds) == 1
     assert len(res.refinement.refined.members) == 3
     assert res.refinement.at_most_one_inessential
+
+
+def _lifted(S, rng):
+    """(target, mapping) for a cut system S: the ground set gains a point
+    t, and the members on one side of a random orientation gain t too.
+    The orientation is the one away from a random point, with a few
+    separations flipped: unflipped, the map is a lattice isomorphism;
+    flipped, it may break the order or only the joins."""
+    U = S.universe
+    ground = U.ground + (f"t{len(U.ground)}",)
+    V = BipartitionUniverse(ground)
+    t = 1 << len(U.ground)
+    p = 1 << rng.randrange(len(U.ground))
+    flips = set(rng.sample(S.separations, rng.randint(0, min(2, len(S)))))
+    mapping = {}
+    for x in S.oriented:
+        side = bool(x & p) != (U.canon(x) in flips)
+        mapping[x] = x | t if side else x
+    return SeparationSystem(V, mapping.values()), mapping
+
+
+def test_isomorphism_checks_match_the_loops():
+    seen = {"order": 0, "lattice": 0, "compatible": 0}
+    for S in SYSTEMS:
+        if not isinstance(S.universe, BipartitionUniverse):
+            continue
+        rng = random.Random(len(S.oriented))
+        for _ in range(30):
+            T, mapping = _lifted(S, rng)
+            if not oracles.isomorphism_respects_order(S, T, mapping):
+                with pytest.raises(InputError, match="does not respect the order"):
+                    canonical.Isomorphism(S, T, mapping)
+                seen["order"] += 1
+                continue
+            iso = canonical.Isomorphism(S, T, mapping)
+            want = oracles.lattice_violation(iso)
+            assert iso.lattice_violation() == want
+            seen["compatible" if want is None else "lattice"] += 1
+    assert min(seen.values()) >= 10, seen
+    # every system, table posets and graphs included, onto itself
+    for S in SYSTEMS:
+        iso = canonical.Isomorphism(S, S, {x: x for x in S.oriented})
+        assert iso.lattice_violation() is None
+        assert oracles.lattice_violation(iso) is None

@@ -2,17 +2,20 @@
 over positions, each against the frozenset code it replaced: the
 generator that built one frozenset per star, and the fixpoint and tree
 rebuild that keyed their tables by member.  Also the bulk star check of
-StarFamily.from_masks against the per-mask scan, and what a mask family
-keeps after duality and refinement."""
+StarFamily.from_masks against the per-mask scan and the literal star
+oracle (a mutant of it must be caught), the text that names a non-star,
+and what a mask family keeps after duality and refinement."""
 
 import functools
+import inspect
 import itertools
+import json
 import random
 from types import SimpleNamespace
 
 import pytest
 
-from tangletree import canonical, duality, graphsep, orient, randomgen
+from tangletree import canonical, cli, duality, graphsep, orient, randomgen
 from tangletree.core import (
     BipartitionUniverse,
     SeparationSystem,
@@ -468,3 +471,95 @@ def test_the_bulk_star_check_matches_the_per_mask_scan():
             assert not fam.stars_only
             raised += 1
     assert raised >= 20 and passed >= 20
+
+
+def _star_check_cases(S, rng):
+    """Masks of 0-6 members: half grown one member at a time while they
+    stay stars, half drawn at random; a degenerate member comes in at
+    random in both halves."""
+    n = len(S.oriented)
+    out = []
+    for _ in range(60):
+        size = rng.randint(0, min(6, n))
+        m = 0
+        for i in rng.sample(range(n), n):
+            if m.bit_count() == size:
+                break
+            if orient.star_mask_violation(S, m | 1 << i) is None or rng.random() < 0.05:
+                m |= 1 << i
+        out.append(m)
+        out.append(sum(1 << i for i in rng.sample(range(n), size)))
+    return out
+
+
+def _star_check_mismatches(check):
+    """(mismatches, counts) of check against the per-mask scan and the
+    literal star oracle, one mask at a time and in groups; counts has
+    the stars, the non-stars and the masks holding a degenerate member."""
+    bad, seen = 0, {"star": 0, "not-star": 0, "degenerate": 0}
+    for S in SYSTEMS:
+        U = S.universe
+        rng = random.Random(len(S.oriented))
+        masks = _star_check_cases(S, rng)
+        for m in masks:
+            want = orient.star_mask_violation(S, m) is None
+            assert want == oracles.is_star(U, frozenset(_star_of(S, m)))
+            bad += check(S, [m]) != want
+            seen["star" if want else "not-star"] += 1
+            seen["degenerate"] += any(S.inv_pos[i] == i for i in bit_positions(m))
+        for _ in range(20):
+            group = rng.sample(masks, rng.randint(0, 6))
+            want = all(orient.star_mask_violation(S, m) is None for m in group)
+            bad += check(S, group) != want
+    return bad, seen
+
+
+def _star_of(S, m):
+    return (S.oriented[i] for i in bit_positions(m))
+
+
+def test_the_bulk_star_check_matches_the_oracles():
+    bad, seen = _star_check_mismatches(orient._all_star_masks)
+    assert bad == 0
+    assert min(seen.values()) >= 100, seen
+
+
+def test_the_star_check_comparison_catches_a_mutant():
+    """The bulk check without the union at a mask's lowest position
+    misses the pair of its two lower members."""
+    src = inspect.getsource(orient._all_star_masks)
+    line = "            union[(m & -m).bit_length() - 1] |= m\n"
+    assert line in src
+    namespace = dict(vars(orient))
+    exec(src.replace(line, ""), namespace)
+    bad, _ = _star_check_mismatches(namespace["_all_star_masks"])
+    assert bad > 0
+
+
+def test_a_non_star_is_named_as_before(capsys, tmp_path):
+    """A family built from sets names the first non-star in the order
+    given, with the literal oracle's witness; a file family holding a
+    non-star is refused by duality with the same text as before."""
+    named = 0
+    for S in SYSTEMS:
+        U = S.universe
+        rng = random.Random(len(S.oriented))
+        sets = [frozenset(_star_of(S, m)) for m in _star_check_cases(S, rng)]
+        first = next((s for s in sets if not oracles.is_star(U, s)), None)
+        if first is None:
+            orient.StarFamily(S, sets)
+            continue
+        with pytest.raises(InputError) as err:
+            orient.StarFamily(S, sets)
+        assert str(err.value) == (
+            f"family member is not a star: {oracles.star_violation(U, first)}"
+        )
+        named += 1
+    assert named >= 30
+    sys_obj = {"type": "bipartition", "ground_set": ["a", "b", "c"], "separations": "all"}
+    fam_obj = {"type": "family", "stars": [[["a"], ["a", "b"]]]}  # {a} is not below {c}
+    sys_path, fam_path = tmp_path / "sys.json", tmp_path / "fam.json"
+    sys_path.write_text(json.dumps(sys_obj))
+    fam_path.write_text(json.dumps(fam_obj))
+    assert cli.main(["duality", str(sys_path), "--family", f"file:{fam_path}"]) == 2
+    assert capsys.readouterr().err == "input error: the family must be made of stars\n"
