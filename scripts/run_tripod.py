@@ -59,7 +59,7 @@ def main():
     for node, kind in res.refinement.node_kinds:
         print(f"  node of {len(node)}: {kind}")
 
-    dec = graphsep.decomposition_export(nested, caps)
+    dec = graphsep.decomposition_export(trees.treeset_to_stree(nested, caps))
     print(f"decomposition: width {dec.width()}, parts:")
     for part in dec.parts:
         print(f"  {{{','.join(part)}}}")

@@ -28,7 +28,7 @@ ORDER_SCAN_MEMBERS = 120
 
 
 def _caps(args):
-    n = getattr(args, "max_seps", None)
+    n = args.max_seps
     if n is None:
         return Caps()
     if n <= 0:
@@ -39,33 +39,24 @@ def _caps(args):
 def _load(args, caps):
     """Input artifact -> (system, family or None, graph or None)."""
     obj = io.load_path(args.input)
-    kind = obj.get("type")
-    famspec = getattr(args, "family", None)
-    if kind == "graph":
+    k, G = args.k, None
+    if obj.get("type") == "graph":
         G = io.load_graph(obj)
-        k = getattr(args, "k", None)
         if k is None:
             raise InputError("graph inputs need --k")
         S = graphsep.graph_separation_system(G, k, caps)
-        if len(S) > caps.max_unoriented:
-            raise ResourceCapError(
-                f"{len(S)} separations exceed the cap {caps.max_unoriented}; "
-                "raise --max-seps"
-            )
-        fam = _family(famspec or "tk-star", S, G, k, caps)
-        return S, fam, G
-    U = io.load_universe(obj)
-    S = io.load_system(obj, U)
-    k = getattr(args, "k", None)
-    if k is not None:
-        S = order_filtered_system(U, k, within=S)
+    else:
+        U = io.load_universe(obj)
+        S = io.load_system(obj, U)
+        if k is not None:
+            S = order_filtered_system(U, k, within=S)
     if len(S) > caps.max_unoriented:
         raise ResourceCapError(
             f"{len(S)} separations exceed the cap {caps.max_unoriented}; "
             "raise --max-seps"
         )
-    fam = _family(famspec or "profiles", S, None, k, caps)
-    return S, fam, None
+    spec = args.family or ("profiles" if G is None else "tk-star")
+    return S, _family(spec, S, G, k, caps), G
 
 
 def _family(spec, S, G, k, caps):
@@ -106,7 +97,7 @@ def cmd_check(args):
             # too many pairs for the exhaustive scan; seeded sample, said so
             import random
 
-            seed = getattr(args, "seed", 0)
+            seed = args.seed
             sample = random.Random(seed).sample(sample, ORDER_SCAN_MEMBERS)
             name += (f" (sampled {ORDER_SCAN_MEMBERS} of {len(S.oriented)}"
                      f" members, seed {seed})")
@@ -236,12 +227,12 @@ def cmd_tree_of_tangles(args):
         "tangles": len(tangles),
         "nested": io.nested_to_json(S, nested.members),
     }
-    tree = None
+    tree = dec = None
     if nested.is_treeset():
         tree = trees.treeset_to_stree(nested, caps)
         payload["tree"] = io.stree_to_json(tree)
         if G is not None:
-            dec = graphsep.decomposition_export(nested, caps)
+            dec = graphsep.decomposition_export(tree)
             payload["decomposition"] = dec.to_json()
     if args.trace:
         payload["trace"] = trace
@@ -251,8 +242,8 @@ def cmd_tree_of_tangles(args):
     elif args.format == "dot":
         if tree is None:
             raise InputError("nested set is not a tree set; no dot output")
-        if G is not None:
-            _emit(args, io.decomposition_to_dot(graphsep.decomposition_export(nested, caps)))
+        if dec is not None:
+            _emit(args, io.decomposition_to_dot(dec))
         else:
             _emit(args, io.stree_to_dot(tree))
     else:

@@ -45,48 +45,27 @@ class Universe:
         and mcode(x ^ y) = mcode(x) & mcode(y).  So a join or meet lies in
         a set of elements iff the OR or AND of codes is one of their codes.
 
-        This default needs no distributivity: the join code is the
+        TablePoset needs no distributivity: the join code is the
         complement of x's up-set and the meet code x's down-set, both as
         bitsets over elements().  Bipartitions and graph separations use
         their side masks instead.  Elements are not checked."""
-        every = self.elements()
-        up, down = self.order_tables(every)
-        at = {x: i for i, x in enumerate(every)}
-        full = (1 << len(every)) - 1
-        rows = [at[x] for x in elems]
-        return [full ^ up[i] for i in rows], [down[i] for i in rows]
+        raise NotImplementedError
 
     def order_tables(self, elems):
         """(up, down) over the sorted members elems of a system: up[i] has
         bit j set iff elems[i] <= elems[j], and down[j] has bit i set iff
-        the same holds.  This default asks leq for every pair; backends
-        whose elements are sets build the rows from containment_rows."""
-        up = []
-        for x in elems:
-            m = 0
-            for j, y in enumerate(elems):
-                if self.leq(x, y):
-                    m |= 1 << j
-            up.append(m)
-        down = [0] * len(elems)
-        for i, m in enumerate(up):
-            for j in bit_positions(m):
-                down[j] |= 1 << i
-        return tuple(up), tuple(down)
+        the same holds.  Backends build the rows from containment_rows."""
+        raise NotImplementedError
 
     def order(self, x):
         raise UnsupportedOperationError("universe has no order function")
 
     def code_orders(self, jcodes, mcodes):
         """(jorder, morder): dicts from the given join codes and meet
-        codes (see lattice_codes) to the orders of their elements.  This
-        default reads every element's codes and order; bipartitions and
-        graph separations compute the order from the code instead."""
-        every = self.elements()
-        jc, mc = self.lattice_codes(every)
-        orders = list(map(self.order, every))
-        jo, mo = dict(zip(jc, orders)), dict(zip(mc, orders))
-        return {c: jo[c] for c in jcodes}, {c: mo[c] for c in mcodes}
+        codes (see lattice_codes) to the orders of their elements.
+        TablePoset reads every element's codes and order; bipartitions
+        and graph separations compute the order from the code instead."""
+        raise NotImplementedError
 
     def elements(self):
         """All oriented elements, canonically sorted.  Finite backends only."""
@@ -292,6 +271,23 @@ class TablePoset(Universe):
             raise UnsupportedOperationError("table universe has no order function")
         self.check_element(x)
         return self._order[x]
+
+    def lattice_codes(self, elems):
+        full = (1 << self.n) - 1
+        return [full ^ self._up[x] for x in elems], [self._down[x] for x in elems]
+
+    def order_tables(self, elems):
+        # x <= y iff the down-set of x lies in that of y
+        up, down = containment_rows([self._down[x] for x in elems], self.n)
+        return tuple(up), tuple(down)
+
+    def code_orders(self, jcodes, mcodes):
+        if self._order is None:
+            raise UnsupportedOperationError("table universe has no order function")
+        full = (1 << self.n) - 1
+        jo = {full ^ u: v for u, v in zip(self._up, self._order)}
+        mo = dict(zip(self._down, self._order))
+        return {c: jo[c] for c in jcodes}, {c: mo[c] for c in mcodes}
 
     def elements(self):
         return tuple(range(self.n))

@@ -371,30 +371,36 @@ def _tree_from_cover(S, masks, covered, roots, caps):
     return STree(S, counter[0], alpha)
 
 
-def duality_decide(S, family: StarFamily, caps=DEFAULT_CAPS, verify=True) -> DualityResult:
-    """Produce an F-tangle or an S-tree over F, never both claims.
-
-    With verify=True the preconditions of the duality theorem pass
-    through the gate first (see preconditions).
-    """
-    if verify:
-        preconditions(S, family, caps)
-    else:
-        _require_stars(family)
-
-    tangles = orient.enumerate_tangles(S, family, caps)
-    if tangles:
-        return DualityResult("tangle", tangle=tangles[0])
-
+def cover_tree(S, family: StarFamily, caps=DEFAULT_CAPS):
+    """The irredundant S-tree over the family that the cover fixpoint
+    builds, or None when no star has every member's inverse covered.
+    The family must be made of stars; nothing else is checked, so a
+    family that is not closed under shifting is fine here."""
+    _require_stars(family)
     masks, covered, roots = _cover_fixpoint(S, family)
     if 1 not in roots:
+        return None
+    tree = _tree_from_cover(S, masks, covered, roots, caps)
+    return irredundant_reduction(tree, keep=(), family=family)
+
+
+def duality_decide(S, family: StarFamily, caps=DEFAULT_CAPS) -> DualityResult:
+    """Produce an F-tangle or an S-tree over F, never both claims.
+
+    The preconditions of the duality theorem pass through the gate first
+    (see preconditions).  The cover tree comes next: an F-tangle orients
+    every edge of an S-tree over F, and the node those orientations lead
+    to has its star in the tangle, so a tree rules every tangle out.
+    Only without a tree does the tangle search run.
+    """
+    preconditions(S, family, caps)
+    tree = cover_tree(S, family, caps)
+    if tree is not None:
+        return DualityResult("tree", tree=tree)
+    tangles = orient.enumerate_tangles(S, family, caps)
+    if not tangles:
         raise IntegrityError(
             "neither a tangle nor an S-tree exists; duality preconditions "
             "must have been violated"
         )
-    tree = _tree_from_cover(S, masks, covered, roots, caps)
-    tree = irredundant_reduction(tree, keep=(), family=family)
-    rep = tree.validate(family)
-    if rep.over_f is not True:
-        raise IntegrityError(f"constructed tree is not over the family: {rep}")
-    return DualityResult("tree", tree=tree)
+    return DualityResult("tangle", tangle=tangles[0])

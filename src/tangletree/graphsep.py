@@ -391,18 +391,16 @@ class GraphDecomposition:
         }
 
 
-def decomposition_export(N: trees.NestedSet, caps=DEFAULT_CAPS) -> GraphDecomposition:
-    """Turn a tree set of graph separations into parts and a tree.
+def decomposition_export(T: trees.STree) -> GraphDecomposition:
+    """Turn an S-tree of graph separations into parts and a tree.
 
-    The part at a node is the intersection of the right-hand sides of
-    its members; an empty nested set yields the single part V.
+    The part at a vertex is the intersection of the right-hand sides of
+    its star; a tree of one vertex yields the single part V.
     """
-    S = N.system
-    U = S.universe
+    U = T.system.universe
     if not isinstance(U, GraphUniverse):
         raise InputError("decomposition export needs graph separations")
     g = U.graph
-    T = trees.treeset_to_stree(N, caps)
     parts = []
     for v in range(T.n):
         bmask = g.full_mask

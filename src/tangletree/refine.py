@@ -3,8 +3,8 @@
 The key relation is close relationship: s is closely related to a
 profile P when s lies in P and its meet with every member of P stays in
 the system.  Close relationship buys emulation, emulation buys shifts,
-and shifts turn the tree produced by the duality machine into one whose
-leaves realise exactly the members of the star being refined.
+and shifts turn the tree that the duality cover fixpoint builds into one
+whose leaves realise exactly the members of the star being refined.
 """
 
 from dataclasses import dataclass
@@ -77,13 +77,12 @@ class CloseWitness:
     profile: frozenset
 
 
-def guarded_inf(S, s, witnesses, close_to=None):
+def guarded_inf(S, s, witnesses):
     """The infimum of s with the witness separations, kept honest.
 
     Every witness profile must contain s and be closely related to its
     separation; then the infimum is guaranteed to lie in the system, so
-    an escape is a bug upstream, not bad input.  close_to asks for a
-    closeness post-check against one more profile.
+    an escape is a bug upstream, not bad input.
     """
     U = S.universe
     S.check_member(s)
@@ -102,10 +101,6 @@ def guarded_inf(S, s, witnesses, close_to=None):
             "guarded infimum escaped the system; a precondition upstream "
             "was not what it claimed"
         )
-    if close_to is not None:
-        bad = closely_related_violation(S, inf, close_to)
-        if bad is not None:
-            raise IntegrityError(f"infimum is not closely related: {bad}")
     return inf
 
 
@@ -190,13 +185,12 @@ def refine_star(S, sigma, family, witnesses=None, tangles=None, caps=DEFAULT_CAP
     extra = [frozenset((x,)) for p, x in enumerate(S.oriented) if up >> p & 1]
     fbar = family.extended(extra, name="refine-extension")
 
-    res = duality.duality_decide(S, fbar, caps, verify=False)
-    if res.kind != "tree":
+    T = duality.cover_tree(S, fbar, caps)
+    if T is None:
         raise IntegrityError(
             "a tangle survived the extension despite the star being "
             "inessential"
         )
-    T = res.tree
 
     for _ in range(len(members) + 1):
         leafseps = frozenset(T.leaf_separations())

@@ -10,17 +10,20 @@ Below them, the certificate predicates the same way: stars,
 consistency, close relationship, where an orientation lives,
 nestedness, distinguishing, the tight and order scans of an S-tree, and
 the order and lattice checks of a canonical.Isomorphism, each the pair
-loop that src replaced by a body over positions.  Last,
-helpers that only tests call: the universe laws, corner separations,
-the S-tree encoding, and a few thin wrappers.
+loop that src replaced by a body over positions.  Then the duality
+decision in its search-first order, and the order tables, lattice codes
+and code orders that TablePoset once took from the Universe base, by leq
+over every pair.  Last, helpers that only tests call: the universe laws,
+corner separations, the S-tree encoding, and a few thin wrappers.
 """
 
 from dataclasses import dataclass
 from itertools import combinations
 
-from tangletree import orient, refine, trees
+from tangletree import duality, orient, refine, trees
 from tangletree.canonical import standing_hypothesis_violation
 from tangletree.config import DEFAULT_CAPS
+from tangletree.core import bit_positions
 from tangletree.errors import DomainError, InputError, IntegrityError
 from tangletree.orient import orientation_of, profile_violation, star_order
 from tangletree.trees import NestedSet, STree, StreeReport
@@ -397,6 +400,71 @@ def lattice_violation(self):
             if j in mem1 and self.mapping[j] != j2:
                 return (x, y)
     return None
+
+
+# -- the duality decision, search first --
+
+
+def search_first_decide(S, family, caps=DEFAULT_CAPS, verify=True):
+    """duality_decide with the whole tangle search before the cover
+    fixpoint: the gate (with verify=False only the stars check), then a
+    tangle if there is one, else the fixpoint's tree, reduced and
+    validated over the family."""
+    if verify:
+        duality.preconditions(S, family, caps)
+    elif not family.stars_only:
+        raise InputError("the family must be made of stars")
+    tangles = orient.enumerate_tangles(S, family, caps)
+    if tangles:
+        return duality.DualityResult("tangle", tangle=tangles[0])
+    masks, covered, roots = duality._cover_fixpoint(S, family)
+    if 1 not in roots:
+        raise IntegrityError("neither a tangle nor an S-tree exists")
+    tree = duality._tree_from_cover(S, masks, covered, roots, caps)
+    tree = trees.irredundant_reduction(tree, keep=(), family=family)
+    rep = tree.validate(family)
+    if rep.over_f is not True:
+        raise IntegrityError(f"constructed tree is not over the family: {rep}")
+    return duality.DualityResult("tree", tree=tree)
+
+
+# -- the table fallbacks that TablePoset now answers from its bit tables --
+
+
+def order_tables(U, elems):
+    """(up, down) over elems, asking U.leq for every pair."""
+    up = []
+    for x in elems:
+        m = 0
+        for j, y in enumerate(elems):
+            if U.leq(x, y):
+                m |= 1 << j
+        up.append(m)
+    down = [0] * len(elems)
+    for i, m in enumerate(up):
+        for j in bit_positions(m):
+            down[j] |= 1 << i
+    return tuple(up), tuple(down)
+
+
+def lattice_codes(U, elems):
+    """(jcode, mcode) of elems: the complement of each element's up-set
+    and its down-set, as bitsets over U.elements()."""
+    every = U.elements()
+    up, down = order_tables(U, every)
+    at = {x: i for i, x in enumerate(every)}
+    full = (1 << len(every)) - 1
+    rows = [at[x] for x in elems]
+    return [full ^ up[i] for i in rows], [down[i] for i in rows]
+
+
+def code_orders(U, jcodes, mcodes):
+    """(jorder, morder) from every element's codes and order."""
+    every = U.elements()
+    jc, mc = lattice_codes(U, every)
+    orders = list(map(U.order, every))
+    jo, mo = dict(zip(jc, orders)), dict(zip(mc, orders))
+    return {c: jo[c] for c in jcodes}, {c: mo[c] for c in mcodes}
 
 
 # -- helpers only tests call --

@@ -19,38 +19,9 @@ import pytest
 from tangletree import graphsep
 from tangletree.cli import main
 
-from conftest import BIG_CAPS
+from conftest import BIG_CAPS, BRANCHWIDTH
 
 nx = pytest.importorskip("networkx")
-
-
-def _complete(n):
-    return list(combinations([f"k{i}" for i in range(n)], 2))
-
-
-def _cycle(n):
-    return [(f"c{i}", f"c{(i + 1) % n}") for i in range(n)]
-
-
-def _grid(n):
-    name = "g{}{}".format
-    return [
-        (name(i, j), name(i + di, j + dj))
-        for i in range(n)
-        for j in range(n)
-        for di, dj in ((0, 1), (1, 0))
-        if i + di < n and j + dj < n
-    ]
-
-
-# K_n has branchwidth ceil(2n/3) for n >= 3, the n x n grid n, cycles 2
-BRANCHWIDTH = {
-    "K4": (_complete(4), 3),
-    "K5": (_complete(5), 4),
-    "K6": (_complete(6), 4),
-    "C6": (_cycle(6), 2),
-    "3x3 grid": (_grid(3), 3),
-}
 
 
 def separation_count(G, k):

@@ -128,10 +128,12 @@ def test_decide_tree_branch(p3):
     x = max(S.oriented, key=U.sort_key)
     killed = fam.extended([frozenset((x,)), frozenset((U.invert(x),))],
                           name="no-tangles")
-    res = duality.duality_decide(S, killed, BIG_CAPS, verify=False)
-    assert res.kind == "tree"
-    rep = res.tree.validate(killed)
-    assert rep.all_good()
+    assert not duality.check_closed_under_shifting(S, killed)
+    tree = duality.cover_tree(S, killed, BIG_CAPS)
+    assert tree.validate(killed).all_good()
+    # the tree the search-first decision builds without the gate
+    want = oracles.search_first_decide(S, killed, BIG_CAPS, verify=False)
+    assert (tree.n, tree.alpha) == (want.tree.n, want.tree.alpha)
 
 
 def test_decide_matches_enumeration_on_seeds():

@@ -267,7 +267,7 @@ def test_tangles_avoid_every_star(p4_graph):
 def test_p4_decomposition(p4_graph):
     S, fam, tangles = graphsep.graph_tangles(p4_graph, 2, caps=BIG_CAPS)
     res = canonical.canonical_nested_set(S, tangles, BIG_CAPS)
-    dec = graphsep.decomposition_export(res.nested, BIG_CAPS)
+    dec = graphsep.decomposition_export(trees.treeset_to_stree(res.nested, BIG_CAPS))
     assert sorted(dec.parts) == [("a", "b"), ("b", "c"), ("c", "d")]
     assert dec.width() == 1
     assert dec.tree.n == 3
@@ -278,21 +278,23 @@ def test_p4_decomposition(p4_graph):
 
 def test_empty_nested_set_gives_one_part(p4_graph):
     S = graphsep.graph_separation_system(p4_graph, 2, BIG_CAPS)
-    dec = graphsep.decomposition_export(trees.NestedSet(S, []), BIG_CAPS)
+    dec = graphsep.decomposition_export(
+        trees.treeset_to_stree(trees.NestedSet(S, []), BIG_CAPS))
     assert dec.parts == (("a", "b", "c", "d"),)
     assert dec.width() == 3
 
 
 def test_decomposition_needs_graph_system(s4):
     with pytest.raises(InputError):
-        graphsep.decomposition_export(trees.NestedSet(s4, []), BIG_CAPS)
+        graphsep.decomposition_export(
+            trees.treeset_to_stree(trees.NestedSet(s4, []), BIG_CAPS))
 
 
 def test_tripod_decomposition_parts(tripod):
     G, S, fam = tripod
     tangles = orient.enumerate_tangles(S, fam, BIG_CAPS)
     res = canonical.canonical_nested_set(S, tangles, BIG_CAPS)
-    dec = graphsep.decomposition_export(res.nested, BIG_CAPS)
+    dec = graphsep.decomposition_export(trees.treeset_to_stree(res.nested, BIG_CAPS))
     parts = sorted(dec.parts)
     # hub part {v} plus one five-vertex part per blob
     assert ("v",) in dec.parts

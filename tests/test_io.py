@@ -212,7 +212,7 @@ def test_decomposition_dot():
     from tangletree import canonical
 
     res = canonical.canonical_nested_set(S, tangles, BIG_CAPS)
-    dec = graphsep.decomposition_export(res.nested, BIG_CAPS)
+    dec = graphsep.decomposition_export(trees.treeset_to_stree(res.nested, BIG_CAPS))
     dot = io.decomposition_to_dot(dec)
     assert dot.count(" -- ") == 2
     assert "{a,b}" in dot

@@ -10,6 +10,7 @@ import pytest
 from tangletree import graphsep, randomgen
 from tangletree.core import (
     BipartitionUniverse,
+    SeparationSystem,
     TablePoset,
     bit_positions,
     order_submodularity_violation,
@@ -17,8 +18,9 @@ from tangletree.core import (
 )
 from tangletree.errors import InputError, UnsupportedOperationError
 
+import oracles
 from conftest import BIG_CAPS, tripod_edges
-from test_profiles import _chain_product, _m3
+from test_profiles import SYSTEMS as PROFILE_SYSTEMS, _chain_product, _m3
 
 
 def literal_order_submodularity_violation(universe, elems=None):
@@ -157,6 +159,22 @@ def test_table_order_may_be_given_as_strings():
     strings = _with_order(U, ["1/2", "1/3", "1/3", "1/2"])
     assert _same(strings) == (1, 2)
     assert strings.order(0) == Fraction(1, 2)
+
+
+def test_table_tables_codes_and_orders_match_the_leq_loops():
+    systems = [S for S in PROFILE_SYSTEMS if isinstance(S.universe, TablePoset)]
+    systems += [SeparationSystem(U, U.elements()) for U in _table_universes()]
+    assert {S.universe.has_order for S in systems} == {False, True}
+    for S in systems:
+        U, elems = S.universe, S.oriented
+        assert U.order_tables(elems) == oracles.order_tables(U, elems)
+        codes = U.lattice_codes(elems)
+        assert codes == oracles.lattice_codes(U, elems)
+        if U.has_order:
+            assert U.code_orders(*codes) == oracles.code_orders(U, *codes)
+        else:
+            with pytest.raises(UnsupportedOperationError):
+                U.code_orders(*codes)
 
 
 # graph universes: |A n B| is submodular, so every scan comes back clean
