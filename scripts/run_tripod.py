@@ -50,7 +50,7 @@ def main():
     nested = res.refinement.refined
     U = S.universe
     print(f"canonical nested set ({len(res.canonical.nested.members)}):")
-    for s in sorted(res.canonical.nested.members, key=U.sort_key):
+    for s in sorted(res.canonical.nested.members):
         print(f"  {U.format_pair(s)}")
     print(
         f"refined: {len(nested.members)} members, "

@@ -41,7 +41,6 @@ from .duality import DualityResult, duality_decide
 from .refine import RefineOutcome, refine_star, refine_treeset
 from .canonical import (
     CanonicalResult,
-    GoodResult,
     Isomorphism,
     canonical_nested_set,
     check_canonicity,
@@ -67,7 +66,6 @@ __all__ = [
     "DualityResult",
     "Graph",
     "GraphUniverse",
-    "GoodResult",
     "InputError",
     "IntegrityError",
     "Isomorphism",

@@ -28,10 +28,6 @@ def maximal_exclusive(S_i, P, profiles):
     return tuple(x for x in mx if exclusive(S_i, x, profiles))
 
 
-def _profile_key(U, P):
-    return tuple(sorted(U.sort_key(x) for x in P))
-
-
 def _checked_profiles(S, profiles):
     plist = [frozenset(P) for P in profiles]
     if not plist:
@@ -42,8 +38,7 @@ def _checked_profiles(S, profiles):
         bad = orient.profile_violation(S, P)
         if bad is not None:
             raise InputError(f"not a profile: {bad}")
-    U = S.universe
-    return sorted(plist, key=lambda P: _profile_key(U, P))
+    return sorted(plist, key=sorted)
 
 
 @dataclass(frozen=True)
@@ -58,6 +53,9 @@ class ExclusiveRecord:
 
 @dataclass
 class CanonicalResult:
+    """What either construction returns; the records are ExclusiveRecords
+    from canonical_nested_set and GoodRecords from good_nested_set."""
+
     nested: NestedSet
     records: tuple
     rounds: tuple  # JSON-ready per-round summaries
@@ -171,9 +169,8 @@ def refined_tree_of_tangles(S, family, tangles=None, caps=DEFAULT_CAPS) -> Refin
 def standing_hypothesis_violation(S, M, profiles):
     """First (separation, P, Q) where two profiles disagree on a member
     of M; the constructions need all profiles to agree there."""
-    U = S.universe
     plist = list(profiles)
-    for m in sorted(M, key=U.sort_key):
+    for m in sorted(M):
         seen = None
         for P in plist:
             o = orient.orientation_of(S, m, P)
@@ -194,7 +191,7 @@ class GoodRecord:
 
 def e_set(S, P, profiles, S_M):
     """Members of P in S_M that are exclusive and distinguish P well
-    from another profile."""
+    from another profile, in S_M.oriented (value) order."""
     out = []
     others = [Q for Q in profiles if frozenset(Q) != frozenset(P)]
     for x in S_M.oriented:
@@ -204,18 +201,10 @@ def e_set(S, P, profiles, S_M):
             continue
         if any(refine.distinguishes_well(S, x, P, Q) for Q in others):
             out.append(x)
-    return tuple(sorted(out, key=S.universe.sort_key))
+    return tuple(out)
 
 
-@dataclass
-class GoodResult:
-    nested: NestedSet
-    records: tuple
-    rounds: tuple
-    profiles: tuple
-
-
-def good_nested_set(S, profiles, caps=DEFAULT_CAPS) -> GoodResult:
+def good_nested_set(S, profiles, caps=DEFAULT_CAPS) -> CanonicalResult:
     """Distinguish the profiles by good separations only.
 
     Each round works in the subsystem nested with what is already built,
@@ -281,7 +270,7 @@ def good_nested_set(S, profiles, caps=DEFAULT_CAPS) -> GoodResult:
     for s in nested.sorted_members:
         if not refine.good(S, s, plist):
             raise IntegrityError("output contains a separation that is not good")
-    return GoodResult(
+    return CanonicalResult(
         nested=nested,
         records=tuple(records),
         rounds=tuple(rounds),
@@ -345,9 +334,9 @@ class Isomorphism:
         return frozenset(self.apply_separation(s) for s in members)
 
     def lattice_violation(self):
-        """First pair (x, y) of source members, in sort_key order, whose
-        join-membership the mapping fails to mirror: the join lies in
-        one system only, or in both but not at the image.  Each row of
+        """First pair (x, y) of source members, in oriented (value) order,
+        whose join-membership the mapping fails to mirror: the join lies
+        in one system only, or in both but not at the image.  Each row of
         the source's join table, moved through perm (-1 stays -1), must
         equal its image's row read at the images."""
         source, target, perm = self.source, self.target, self._perm

@@ -159,7 +159,7 @@ def cmd_tangles(args):
         U = S.universe
         _emit(args, f"{len(tangles)} tangles")
         for i, O in enumerate(tangles):
-            mem = ", ".join(U.format_element(x) for x in sorted(O, key=U.sort_key))
+            mem = ", ".join(U.format_element(x) for x in sorted(O))
             _emit(args, f"  [{i}] {mem}")
     return 0
 
@@ -184,9 +184,7 @@ def cmd_duality(args):
         U = S.universe
         _emit(args, f"kind: {res.kind}")
         if res.kind == "tangle":
-            mem = ", ".join(
-                U.format_element(x) for x in sorted(res.tangle, key=U.sort_key)
-            )
+            mem = ", ".join(U.format_element(x) for x in sorted(res.tangle))
             _emit(args, f"tangle: {mem}")
         else:
             for u, v in sorted(res.tree.edges):
@@ -249,7 +247,7 @@ def cmd_tree_of_tangles(args):
     else:
         _emit(args, f"tangles: {len(tangles)}")
         _emit(args, "nested set:")
-        for s in sorted(nested.members, key=U.sort_key):
+        for s in sorted(nested.members):
             _emit(args, f"  {U.format_pair(s)}")
         if tree is not None:
             for u, v in sorted(tree.edges):

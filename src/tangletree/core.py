@@ -10,7 +10,7 @@ separations) or from explicit tables.
 Oriented separations are plain hashable ids: ints for table universes,
 int bitmasks of the first side for bipartition universes, (A, B) mask
 pairs for the graph backend.  An unoriented separation is represented by
-its canonical orientation, the sort_key-minimal one of the pair.
+its canonical orientation, the smaller one of the pair by value.
 """
 
 from dataclasses import dataclass
@@ -74,9 +74,6 @@ class Universe:
     def is_element(self, x) -> bool:
         raise NotImplementedError
 
-    def sort_key(self, x):
-        return x
-
     def format_element(self, x) -> str:
         return repr(x)
 
@@ -90,9 +87,8 @@ class Universe:
         return x != y and self.leq(x, y)
 
     def canon(self, x):
-        """Canonical orientation of x's separation (sort_key-minimal)."""
-        y = self.invert(x)
-        return x if self.sort_key(x) <= self.sort_key(y) else y
+        """Canonical orientation of x's separation (the smaller by value)."""
+        return min(x, self.invert(x))
 
     def comparable(self, x, y) -> bool:
         return self.leq(x, y) or self.leq(y, x)
@@ -541,7 +537,7 @@ class SeparationSystem:
     """Involution-closed set of oriented elements of one universe.
 
     len() counts unoriented separations.  All derived listings are sorted
-    by the universe's sort_key so downstream output is deterministic.
+    by value so downstream output is deterministic.
     """
 
     def __init__(self, universe, members):
@@ -582,15 +578,12 @@ class SeparationSystem:
 
     @cached_property
     def oriented(self):
-        return tuple(sorted(self.members, key=self.universe.sort_key))
+        return tuple(sorted(self.members))
 
     @cached_property
     def separations(self):
         """Canonical orientations, one per unoriented separation."""
-        U = self.universe
-        return tuple(
-            sorted({U.canon(x) for x in self.members}, key=U.sort_key)
-        )
+        return tuple(sorted({self.universe.canon(x) for x in self.members}))
 
     def check_member(self, x):
         """InputError unless x is a member; a value of another type, or
@@ -795,7 +788,7 @@ class SeparationSystem:
 
     def nestedness_violation(self, seps):
         """First crossing pair among the given separations, members of the
-        system, in sort_key order."""
+        system, in oriented (value) order."""
         m = self.member_mask(seps)
         return first_pair(self.oriented, m, lambda i: ~self._nested_bits(i))
 
@@ -825,13 +818,13 @@ def order_filtered_system(universe, k, within=None) -> SeparationSystem:
 
 
 def order_submodularity_violation(universe, elems=None):
-    """First pair (r, s), r at or before s in sort_key order, violating
+    """First pair (r, s), r at or before s in value order, violating
     |r v s| + |r ^ s| <= |r| + |s|, else None.
 
     Each row r is tested against its tail at once: the joins and meets
     as OR/AND of lattice codes, their orders read from one call of
     Universe.code_orders, and the sums compared as ints, every order
-    scaled by one common denominator.  Rows and tails run in sort_key
+    scaled by one common denominator.  Rows and tails run in value
     order, so the first row with a hit, at its first hit, gives the
     first violating pair.
     """
@@ -844,7 +837,7 @@ def order_submodularity_violation(universe, elems=None):
         )
     if elems is None:
         elems = U.elements()
-    elems = sorted(elems, key=U.sort_key)
+    elems = sorted(elems)
     for x in elems:
         U.check_element(x)
     jc, mc = U.lattice_codes(elems)

@@ -107,7 +107,8 @@ def shifting_closure_violation(S, family):
     Each target's image table (_shift_bits) is built once per call, at its
     first use, and serves every base the target emulates.
     """
-    masks = family.masks_over(S)
+    family.require_system(S)
+    masks = family.masks_sorted
     in_family = set(masks)
     images = {}  # by target position, built on first use
     for ri in range(len(S.oriented)):
@@ -164,8 +165,7 @@ def preconditions(S, family=None, caps=DEFAULT_CAPS, regular=False):
     kept on the system or family it describes.
     """
     if family is not None:
-        if family.system is not S and family.system.members != S.members:
-            raise InputError("family is over a different system")
+        family.require_system(S)
         _require_stars(family)
     U = S.universe
     pair = S.submodular_witness
@@ -208,6 +208,8 @@ def shift_stree(T: STree, r, s, family) -> STree:
     """
     S = T.system
     U = S.universe
+    if family is not None:
+        family.require_system(S)
     rep = T.validate(family)
     if not rep.all_good(need_family=family is not None):
         raise InputError(f"tree is not tight/irredundant over the family: {rep}")
@@ -222,11 +224,10 @@ def shift_stree(T: STree, r, s, family) -> STree:
         raise InputError("target does not emulate base")
     bits = _shift_bits(S, si)
     if family is not None:
-        masks = family.masks_over(S)
         # the scan asks once per star in scope: keep the family's own set
         # of masks, built at its first shift, for every later one
-        in_family = family._mask_set if masks is family.masks_sorted else set(masks)
-        k = _unshifted(_shift_scope(S, ri, masks), bits, in_family)
+        scope = _shift_scope(S, ri, family.masks_sorted)
+        k = _unshifted(scope, bits, family._mask_set)
         if k is not None:
             raise InputError(
                 f"target does not emulate base for the family: {family.star(k)}"
@@ -272,7 +273,8 @@ def _cover_fixpoint(S, family):
     # reach the fixpoint (tangles, the canonical trees) load nothing more
     from array import array
 
-    masks = family.masks_over(S)
+    family.require_system(S)
+    masks = family.masks_sorted
     pos, inv = S.pos, S.inv_pos
     # at[p]: the stars holding position p, in ascending index order
     at = [array("i") for _ in S.oriented]
@@ -337,7 +339,7 @@ def _cover_fixpoint(S, family):
 def _tree_from_cover(S, masks, covered, roots, caps):
     """Rebuild an S-tree over the family from cover certificates; masks
     are in star order, so the first root in star order is the least
-    index, and members in position order are in sort_key order."""
+    index, and members in position order are in value order."""
     root_si = roots.find(1)
     elems, inv = S.oriented, S.inv_pos
     alpha = {}

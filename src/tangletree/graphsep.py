@@ -174,9 +174,6 @@ class GraphUniverse(Universe):
         orders = {c: (c >> n & ~c & full).bit_count() for c in {*jcodes, *mcodes}}
         return orders, orders
 
-    def sort_key(self, x):
-        return x
-
     def format_element(self, x) -> str:
         g = self.graph
         a = ",".join(map(str, g.names_of(x[0])))

@@ -187,15 +187,11 @@ def load_family(obj, S) -> StarFamily:
 
 
 def orientation_to_json(S, O):
-    U = S.universe
-    return [element_to_json(U, x) for x in sorted(O, key=U.sort_key)]
+    return [element_to_json(S.universe, x) for x in sorted(O)]
 
 
 def nested_to_json(S, members):
-    U = S.universe
-    return [
-        element_to_json(U, s) for s in sorted(members, key=U.sort_key)
-    ]
+    return [element_to_json(S.universe, s) for s in sorted(members)]
 
 
 def stree_to_json(T):

@@ -19,7 +19,7 @@ from .errors import InputError, ResourceCapError
 
 
 def consistency_violation(S, O):
-    """First pair (a, b) in O, in sort_key order, with invert(a) < b,
+    """First pair (a, b) in O, in oriented (value) order, with invert(a) < b,
     else None.
 
     Such a pair means O orients some r strictly below b away from b.
@@ -58,7 +58,7 @@ def profile_violation(S, O):
 
 def star_mask_violation(S, m):
     """None if the members at the positions in mask m form a star, else
-    the first witness in sort_key order: ("degenerate", x) for a member
+    the first witness in oriented order: ("degenerate", x) for a member
     that is its own inverse, else ("not-star", (x, y)) for the first pair
     with x not below invert(y), a relation the involution makes
     symmetric."""
@@ -111,31 +111,11 @@ def _in_star_order(masks):
     )
 
 
-def _mask_of(pos, sigma):
-    m = 0
-    for x in sigma:
-        m |= 1 << pos[x]
-    return m
-
-
-def star_order(S):
-    """Sort key for sets of members of S: the size, then the positions in
-    S.oriented ascending, packed into one int.  S.oriented is sorted by
-    the universe's sort_key, which tells members apart, so this is the
-    order of (len, sorted sort_keys)."""
-    pos, width = S.pos, len(S.oriented).bit_length()
-
-    def key(sigma):
-        k = len(sigma)
-        for p in sorted(map(pos.__getitem__, sigma)):
-            k = k << width | p
-        return k
-
-    return key
-
-
 def mask_order(S):
-    """star_order for masks of positions in S.oriented."""
+    """Sort key for masks of positions in S.oriented, the star order: the
+    size, then the positions ascending, packed into one int.  S.oriented
+    is sorted by value, so this orders sets of members by their size and
+    then their members in value order."""
     width = len(S.oriented).bit_length()
 
     def key(m):
@@ -217,6 +197,13 @@ class StarFamily:
             map(star_mask_violation, repeat(system), self._masks)
         )
 
+    def require_system(self, S):
+        """InputError unless S has the family's members.  Both systems
+        then sort them alike, so the family's masks are positions in
+        S.oriented."""
+        if self.system is not S and self.system.members != S.members:
+            raise InputError("family is over a different system")
+
     @cached_property
     def _mask_set(self):
         return frozenset(self._masks)
@@ -275,10 +262,11 @@ class StarFamily:
 
     def __contains__(self, sigma):
         """True iff sigma is a member: a binary search of masks_sorted by
-        mask_order, whose key tells masks apart."""
+        mask_order, whose key tells masks apart.  A set holding a value
+        that is not a member, hashable or not, is not one."""
         try:
-            m = _mask_of(self.system.pos, sigma)
-        except KeyError:  # not a set of members
+            m = self.system.member_mask(sigma)
+        except InputError:
             return False
         masks, key = self.masks_sorted, mask_order(self.system)
         i = bisect_left(masks, key(m), key=key)
@@ -293,16 +281,6 @@ class StarFamily:
         """The members as masks of positions in system.oriented, in star
         order."""
         return tuple(sorted(self._masks, key=mask_order(self.system)))
-
-    def masks_over(self, S, kept=False):
-        """masks_sorted, or with kept the masks in the order the family
-        keeps them (no sort), as masks of positions in S.oriented, for a
-        system S with the family's members."""
-        masks = self._masks if kept else self.masks_sorted
-        if S.oriented == self.system.oriented:
-            return masks
-        pos, star_of = S.pos, self._star_of
-        return tuple(_mask_of(pos, star_of(m)) for m in masks)
 
     def star(self, i):
         """The i-th member in star order, as a frozenset built by inserting
@@ -381,13 +359,13 @@ def profile_star_family(S) -> StarFamily:
 def _sep_trial_order(S):
     """Per separation, the tuple of candidate orientations, tried in order.
 
-    Separations sorted by (order, sort_key); within one separation the
-    leq-smaller orientation goes first, falling back to sort_key.
+    Separations sorted by (order, value); within one separation the
+    leq-smaller orientation goes first, falling back to value order.
     """
     U = S.universe
     seps = list(S.separations)
     if U.has_order:
-        seps.sort(key=lambda s: (U.order(s), U.sort_key(s)))
+        seps.sort(key=lambda s: (U.order(s), s))
     out = []
     for s in seps:
         t = U.invert(s)
@@ -403,11 +381,14 @@ def _sep_trial_order(S):
 
 
 def _canonical_sorted(S, masks):
-    # full orientations all have one member per separation, so star_order
-    # sorts them by their sorted sort_keys alone
+    """The sets of members at the given masks, in star order (mask_order).
+    Full orientations all have one member per separation, so they are
+    sorted by their members in value order alone."""
     elems = S.oriented
-    sets = [frozenset(elems[i] for i in bit_positions(m)) for m in masks]
-    return tuple(sorted(sets, key=star_order(S)))
+    return tuple(
+        frozenset(elems[i] for i in bit_positions(m))
+        for m in sorted(masks, key=mask_order(S))
+    )
 
 
 def enumerate_tangles(S, family=None, caps=DEFAULT_CAPS):
@@ -431,9 +412,8 @@ def enumerate_tangles(S, family=None, caps=DEFAULT_CAPS):
 
     stars_at = [[] for _ in range(len(S.oriented))]
     if family is not None:
-        if family.system is not S and family.system.members != S.members:
-            raise InputError("family is over a different system")
-        star_masks = family.masks_over(S, kept=True)
+        family.require_system(S)
+        star_masks = family._masks
         if 0 in star_masks:
             return ()  # empty star excludes everything
         # later[p]: the positions whose separations are tried after p's.
@@ -521,8 +501,7 @@ def all_orientations(S, caps=DEFAULT_CAPS):
                 f"(cap {caps.max_states})"
             )
     out = [frozenset(choice) for choice in product(*trial)]
-    key = S.universe.sort_key
-    out.sort(key=lambda fs: tuple(sorted(key(x) for x in fs)))
+    out.sort(key=sorted)
     return tuple(out)
 
 

@@ -8,6 +8,7 @@ whose leaves realise exactly the members of the star being refined.
 """
 
 from dataclasses import dataclass
+from operator import attrgetter
 
 from .config import DEFAULT_CAPS
 from .errors import DomainError, InputError, IntegrityError
@@ -19,9 +20,10 @@ def closely_related_violation(S, s, P):
     """None if s is closely related to P, else a witness.
 
     ("not-member",) when s is not in P; otherwise ("meet-escapes", r)
-    for the first member r of P, in sort_key order, whose meet with s
-    leaves the system.  On positions: s ^ r = (s* v r*)* and S is closed
-    under inversion, so the meet stays in S iff r* is joinable with s*.
+    for the first member r of P, in oriented (value) order, whose meet
+    with s leaves the system.  On positions: s ^ r = (s* v r*)* and S is
+    closed under inversion, so the meet stays in S iff r* is joinable
+    with s*.
     """
     S.check_member(s)
     Pset = frozenset(P)
@@ -86,7 +88,7 @@ def guarded_inf(S, s, witnesses):
     """
     U = S.universe
     S.check_member(s)
-    ws = sorted(witnesses, key=lambda w: U.sort_key(w.separation))
+    ws = sorted(witnesses, key=attrgetter("separation"))
     for w in ws:
         if s not in w.profile:
             raise InputError("witness profile does not contain the base")
@@ -113,7 +115,7 @@ def witnesses_for_star(S, sigma, tangles):
     such a star cannot be refined."""
     U = S.universe
     out = []
-    for s in sorted(sigma, key=U.sort_key):
+    for s in sorted(sigma):
         sbar = U.invert(s)
         found = None
         for O in tangles:
@@ -151,7 +153,7 @@ def refine_star(S, sigma, family, witnesses=None, tangles=None, caps=DEFAULT_CAP
     bad = orient.star_mask_violation(S, S.member_mask(sigma))
     if bad is not None:
         raise InputError(f"not a star: {bad}")
-    members = sorted(sigma, key=U.sort_key)
+    members = sorted(sigma)
     if len({U.canon(x) for x in members}) != len(members):
         raise InputError("star members must orient distinct separations")
     duality.preconditions(S, family, caps, regular=True)
@@ -214,9 +216,7 @@ def refine_star(S, sigma, family, witnesses=None, tangles=None, caps=DEFAULT_CAP
             raise IntegrityError("shift base collapsed to a trivial separation")
         if not duality._emulates(S, S.pos[target], S.pos[wbar]):
             raise IntegrityError("close relationship failed to buy emulation")
-        keep = sorted(
-            {s for s in members if s in leafseps} | {wbar}, key=U.sort_key
-        )
+        keep = sorted({s for s in members if s in leafseps} | {wbar})
         try:
             T = trees.irredundant_reduction(T, keep=keep, family=fbar)
             T = duality.shift_stree(T, wbar, target, fbar)

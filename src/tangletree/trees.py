@@ -35,7 +35,7 @@ class NestedSet:
 
     @cached_property
     def sorted_members(self):
-        return tuple(sorted(self.members, key=self.system.universe.sort_key))
+        return tuple(sorted(self.members))
 
     def __iter__(self):
         return iter(self.sorted_members)
@@ -81,7 +81,8 @@ class NestedSet:
 
 
 def nodes_of(N: NestedSet, caps=DEFAULT_CAPS):
-    """The splitting stars of a nested set, canonically sorted.
+    """The splitting stars of a nested set, in star order (see
+    orient.mask_order).
 
     One node per consistent orientation of N: its set of maximal
     elements.  Maximality plus consistency plus nestedness force the
@@ -91,18 +92,29 @@ def nodes_of(N: NestedSet, caps=DEFAULT_CAPS):
     consistency forces their trivial orientation, which a witness then
     dominates, so they never surface in a node and both the orientation
     count and the nodes agree with those of the pruned set.
+
+    The nodes are kept on N, one tuple per caps, so that refinement and
+    the S-tree built from its nested set search for them once.
     """
+    kept = vars(N).setdefault("_nodes", {})  # on N, never at module level
+    if caps not in kept:
+        kept[caps] = _search_nodes(N, caps)
+    return kept[caps]
+
+
+def _search_nodes(N, caps):
     bad = N.treeset_violation()
     if bad is not None and bad[0] == "degenerate":
         raise InputError(f"not a tree set: {bad}")
     sub = N.subsystem
-    nodes = set()
+    masks = set()
     for O in orient.enumerate_tangles(sub, None, caps):
-        sigma = frozenset(orient.maximal_members(sub, O))
-        if orient.star_mask_violation(sub, sub.member_mask(sigma)) is not None:
-            raise IntegrityError(f"node is not a star: {sigma}")
-        nodes.add(sigma)
-    return tuple(sorted(nodes, key=orient.star_order(sub)))
+        m = sub.member_mask(orient.maximal_members(sub, O))
+        bad = orient.star_mask_violation(sub, m)
+        if bad is not None:
+            raise IntegrityError(f"node is not a star: {bad}")
+        masks.add(m)
+    return orient._canonical_sorted(sub, masks)
 
 
 def lives_at(S, O, N: NestedSet):
@@ -130,17 +142,15 @@ def lives_at(S, O, N: NestedSet):
 class NodeSplit:
     essential: tuple
     inessential: tuple
-    home_of: tuple  # home_of[i] = node of orientations[i]
 
 
 def essential_nodes(S, N: NestedSet, orientations, caps=DEFAULT_CAPS) -> NodeSplit:
     """Partition nodes by whether some given orientation lives there."""
     all_nodes = nodes_of(N, caps)
-    homes = tuple(lives_at(S, O, N) for O in orientations)
-    lived = set(homes)
+    lived = {lives_at(S, O, N) for O in orientations}
     ess = tuple(n for n in all_nodes if n in lived)
     iness = tuple(n for n in all_nodes if n not in lived)
-    return NodeSplit(ess, iness, homes)
+    return NodeSplit(ess, iness)
 
 
 # -- S-trees --
@@ -227,9 +237,8 @@ class STree:
 
     def leaf_separations(self):
         """Labels pointing from each leaf into the tree, sorted, deduped."""
-        U = self.system.universe
         out = {self.alpha[(x, next(iter(self.adj[x])))] for x in self.leaves()}
-        return tuple(sorted(out, key=U.sort_key))
+        return tuple(sorted(out))
 
     def directed_edges(self):
         return tuple(sorted(self.alpha))
@@ -399,7 +408,7 @@ def irredundant_reduction(T: STree, keep=(), family=None) -> STree:
             into = {}
             for nb in sorted(adj[t]):
                 into[alpha[(nb, t)]] = nb
-            for lab, x in sorted(into.items(), key=lambda kv: U.sort_key(kv[0])):
+            for lab, x in sorted(into.items()):
                 other = U.invert(lab)
                 if other == lab or other not in into:
                     continue
@@ -421,7 +430,7 @@ def irredundant_reduction(T: STree, keep=(), family=None) -> STree:
                 alpha[(y, x)] = U.invert(zx)
                 return True
         # Move C: a keep label also appearing on a non-leaf edge
-        for k in sorted(keep, key=U.sort_key):
+        for k in sorted(keep):
             occurrences = sorted(
                 (u, v) for (u, v), lab in alpha.items() if lab == k
             )

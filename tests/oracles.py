@@ -10,7 +10,8 @@ Below them, the certificate predicates the same way: stars,
 consistency, close relationship, where an orientation lives,
 nestedness, distinguishing, the tight and order scans of an S-tree, and
 the order and lattice checks of a canonical.Isomorphism, each the pair
-loop that src replaced by a body over positions.  Then the duality
+loop that src replaced by a body over positions, and the F-tangles by
+the 2^|S| loop over every orientation.  Then the duality
 decision in its search-first order, and the order tables, lattice codes
 and code orders that TablePoset once took from the Universe base, by leq
 over every pair.  Last, helpers that only tests call: the universe laws,
@@ -25,7 +26,7 @@ from tangletree.canonical import standing_hypothesis_violation
 from tangletree.config import DEFAULT_CAPS
 from tangletree.core import bit_positions
 from tangletree.errors import DomainError, InputError, IntegrityError
-from tangletree.orient import orientation_of, profile_violation, star_order
+from tangletree.orient import mask_order, orientation_of, profile_violation
 from tangletree.trees import NestedSet, STree, StreeReport
 
 
@@ -190,7 +191,7 @@ def is_regular(S, O) -> bool:
 
 def star_violation(U, sigma):
     """None if sigma is a star: no degenerate member, r <= invert(s)."""
-    elems = sorted(sigma, key=U.sort_key)
+    elems = sorted(sigma)
     for x in elems:
         if x == U.invert(x):
             return ("degenerate", x)
@@ -212,7 +213,7 @@ def consistency_violation(S, O):
     is fine.
     """
     U = S.universe
-    elems = sorted(O, key=U.sort_key)
+    elems = sorted(O)
     for x in elems:
         S.check_member(x)
     for a, b in combinations(elems, 2):
@@ -237,6 +238,13 @@ def is_f_tangle(S, O, family) -> bool:
     return orient.f_tangle_violation(S, O, family) is None
 
 
+def literal_tangles(S, family, caps=DEFAULT_CAPS):
+    """The F-tangles by the unpruned 2^|S| loop: every orientation of
+    orient.all_orientations, in its order, that is an F-tangle."""
+    return [O for O in orient.all_orientations(S, caps)
+            if is_f_tangle(S, O, family)]
+
+
 def closely_related_violation(S, s, P):
     """None if s is closely related to P, else a witness.
 
@@ -248,7 +256,7 @@ def closely_related_violation(S, s, P):
     Pset = frozenset(P)
     if s not in Pset:
         return ("not-member",)
-    for r in sorted(Pset, key=U.sort_key):
+    for r in sorted(Pset):
         if U.meet(s, r) not in S.members:
             return ("meet-escapes", r)
     return None
@@ -300,7 +308,7 @@ def lives_at(S, O, N: NestedSet):
 def nestedness_violation(S, seps):
     """First crossing pair among the given unoriented separations."""
     U = S.universe
-    for r, s in combinations(sorted(seps, key=U.sort_key), 2):
+    for r, s in combinations(sorted(seps), 2):
         if not U.nested(r, s):
             return (r, s)
     return None
@@ -521,20 +529,22 @@ def corner_separations(self, r, s):
         self.canon(self.join(rbar, s)),
         self.canon(self.meet(rbar, s)),
     }
-    return tuple(sorted(corners, key=self.sort_key))
+    return tuple(sorted(corners))
 
 
 def star_key(self, sigma):
-    return star_order(self.system)(sigma)
+    """The star order's key (orient.mask_order) of a set of members of
+    the family self's system."""
+    S = self.system
+    return mask_order(S)(S.member_mask(sigma))
 
 
 def _enc(self, v, parent):
-    U = self.system.universe
     items = []
     for w in self.adj[v]:
         if w == parent:
             continue
-        items.append((U.sort_key(self.alpha[(w, v)]), _enc(self, w, v)))
+        items.append((self.alpha[(w, v)], _enc(self, w, v)))
     return tuple(sorted(items))
 
 
@@ -557,15 +567,14 @@ def canonical_encoding(self):
                     if deg[w] == 1:
                         nxt.append(w)
         layer = nxt
-    U = self.system.universe
     if len(alive) == 1:
         (c,) = alive
         return ("centered", _enc(self, c, None))
     u, v = sorted(alive)
     halves = sorted(
         [
-            (U.sort_key(self.alpha[(u, v)]), _enc(self, u, v)),
-            (U.sort_key(self.alpha[(v, u)]), _enc(self, v, u)),
+            (self.alpha[(u, v)], _enc(self, u, v)),
+            (self.alpha[(v, u)], _enc(self, v, u)),
         ]
     )
     return ("bicentered", tuple(halves))
@@ -598,7 +607,7 @@ def inessential_closeness_violation(S, nested, profiles, caps=DEFAULT_CAPS):
     U = S.universe
     split = trees.essential_nodes(S, nested, profiles, caps)
     for sigma in split.inessential:
-        for s in sorted(sigma, key=U.sort_key):
+        for s in sorted(sigma):
             sbar = U.invert(s)
             if not any(
                 sbar in P and refine.closely_related(S, sbar, P)

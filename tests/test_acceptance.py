@@ -46,12 +46,6 @@ def verdict(label_fn):
     print(f"[PASS] {label_fn(info)}", flush=True)
 
 
-def literal_tangles(S, family):
-    """Unpruned 2^|S| oracle: try every orientation, keep the tangles."""
-    return [O for O in orient.all_orientations(S, CAPS)
-            if orient.f_tangle_violation(S, O, family) is None]
-
-
 # -- shared corpus --
 
 
@@ -141,7 +135,7 @@ def test_criterion_1_tripod_census_and_classification():
             (triangle_tripod_edges(), 2, 3),
         ):
             St, ft, enum = graph_instance(edges, k)
-            lit = literal_tangles(St, ft)
+            lit = oracles.literal_tangles(St, ft, CAPS)
             assert set(lit) == set(enum)
             assert len(lit) == expected
 
@@ -184,7 +178,7 @@ def test_criterion_2_duality_dichotomy_against_literal_oracle():
                 continue
             S, fam = inst
             used += 1
-            lit = literal_tangles(S, fam)
+            lit = oracles.literal_tangles(S, fam, CAPS)
             res = duality.duality_decide(S, fam, CAPS)
             if res.kind == "tangle":
                 tangle_kind += 1
@@ -221,7 +215,7 @@ def _corner_nestedness_suite():
         GU = graphsep.GraphUniverse(G)
         universes.append((GU, GU.elements()))
     for U, els in universes:
-        canon = sorted({U.canon(x) for x in els}, key=U.sort_key)
+        canon = sorted({U.canon(x) for x in els})
         for i, r in enumerate(canon):
             for s in canon[i + 1:]:
                 if U.nested(r, s):

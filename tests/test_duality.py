@@ -125,7 +125,7 @@ def test_decide_tree_branch(p3):
     # forbid both orientations of one separation: no orientation avoids
     # both, so no tangle exists and a tree must come back.  The ad-hoc
     # extension is not shift-closed, which the fixpoint does not need.
-    x = max(S.oriented, key=U.sort_key)
+    x = max(S.oriented)
     killed = fam.extended([frozenset((x,)), frozenset((U.invert(x),))],
                           name="no-tangles")
     assert not duality.check_closed_under_shifting(S, killed)

@@ -107,6 +107,28 @@ def test_cli_duality_refuses_with_exit_2(capsys, tmp_path, case):
     assert CASES[case][3] in err
 
 
+def test_each_position_scan_refuses_a_family_over_another_system():
+    """The scans read a family's masks as positions in S.oriented, which
+    they are only when S has the family's members.  The triangle's
+    tk-star family at k=2, over its system at k=3, is refused by each."""
+    G = graphsep.Graph.from_edges([("a", "b"), ("b", "c"), ("a", "c")])
+    S, small = (graphsep.graph_separation_system(G, k, BIG_CAPS) for k in (3, 2))
+    fam = graphsep.tk_star_family(G, 3, S, BIG_CAPS)
+    other = graphsep.tk_star_family(G, 2, small, BIG_CAPS)
+    tree = duality.cover_tree(S, fam, BIG_CAPS)
+    r = tree.leaf_separations()[0]
+    assert small.members < S.members and len(other) > 0
+    for scan in (
+        lambda: orient.enumerate_tangles(S, other, BIG_CAPS),
+        lambda: duality.preconditions(S, other, BIG_CAPS),
+        lambda: duality.shifting_closure_violation(S, other),
+        lambda: duality.cover_tree(S, other, BIG_CAPS),
+        lambda: duality.shift_stree(tree, r, r, other),
+    ):
+        with pytest.raises(InputError, match="family is over a different system"):
+            scan()
+
+
 def test_constructions_refuse_a_non_submodular_system():
     S, fam = _loaded("not-submodular")
     profiles = [
@@ -285,7 +307,7 @@ def test_extended_checks_only_the_added_stars(monkeypatch, u4, s4):
     monkeypatch.setattr(orient, "_all_star_masks", counting)
     new = frozenset((u4.mask_of(["b"]),))
     bigger = fam.extended([new, frozenset((0,))])
-    assert calls == [(orient._mask_of(s4.pos, new),)]
+    assert calls == [(s4.member_mask(new),)]
     assert bigger.stars == fam.stars | {new}
     with pytest.raises(InputError):
         fam.extended([frozenset((u4.mask_of(["a", "b"]), u4.mask_of(["a", "c"])))])

@@ -248,8 +248,7 @@ def test_triangle_tripod_matches_literal_oracle(triangle_tripod):
     # |S| = 11 here, so the 2^|S| loop is an honest independent oracle
     G, S, fam = triangle_tripod
     tangles = orient.enumerate_tangles(S, fam, BIG_CAPS)
-    literal = [O for O in orient.all_orientations(S, BIG_CAPS)
-               if orient.f_tangle_violation(S, O, fam) is None]
+    literal = oracles.literal_tangles(S, fam, BIG_CAPS)
     assert set(literal) == set(tangles)
     assert len(literal) == 3
 

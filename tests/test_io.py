@@ -180,7 +180,7 @@ def test_load_family(u4, s4):
 def test_orientation_to_json_sorted(u4, s4):
     O = frozenset(m for m in u4.elements() if not m & u4.mask_of(["a"]))
     js = io.orientation_to_json(s4, O)
-    # sorted by the universe's sort_key (mask order), hence deterministic
+    # sorted by value (mask order), hence deterministic
     assert js == io.orientation_to_json(s4, set(O))
     assert js[0] == []
     assert len(js) == 8

@@ -25,7 +25,8 @@ FOREIGN = ("not", "a member")
 def _queries(fam, rng):
     """(sigma, expected) pairs, expected read from fam.stars: every
     member, each member with one position flipped, random sets of 0-4
-    members, and members with a value outside the system added."""
+    members, and members with a value outside the system added, as a
+    set or, with an unhashable value, as a list."""
     S = fam.system
     elems = S.oriented
     n = len(elems)
@@ -35,12 +36,14 @@ def _queries(fam, rng):
     def star(m):
         return frozenset(elems[i] for i in bit_positions(m))
 
-    masks = list(fam.masks_over(S, kept=True))
+    masks = list(fam._masks)
     out = [(star(m), True) for m in masks]
     flipped = [star(m ^ 1 << rng.randrange(n)) for m in masks]
     drawn = [frozenset(rng.sample(elems, rng.randint(0, min(4, n)))) for _ in range(200)]
     out += [(sigma, sigma in stars) for sigma in flipped + drawn]
-    out += [(star(m) | {FOREIGN}, False) for m in masks[:: max(1, len(masks) // 50)]]
+    some = masks[:: max(1, len(masks) // 50)]
+    out += [(star(m) | {FOREIGN}, False) for m in some]
+    out += [([*star(m), list(FOREIGN)], False) for m in some]
     return out
 
 
@@ -51,6 +54,17 @@ def _check(fam, seed=0):
         assert (sigma in fam) is want, (fam.name, sorted(map(repr, sigma)))
         hits += want
     return hits
+
+
+def test_an_unhashable_value_is_not_a_member():
+    """[[1]] answers False, as every other foreign value does, on the
+    tk-star family of a path on 4 vertices."""
+    G = graphsep.Graph.from_edges([("a", "b"), ("b", "c"), ("c", "d")])
+    S = graphsep.graph_separation_system(G, 2, BIG_CAPS)
+    fam = graphsep.tk_star_family(G, 2, S, BIG_CAPS)
+    assert len(fam) > 0
+    for sigma in ([[1]], [{}], [FOREIGN], [1], ["a"]):
+        assert sigma not in fam
 
 
 def test_tk_star_membership_matches_the_member_set():

@@ -32,7 +32,7 @@ def literal_order_submodularity_violation(universe, elems=None):
         )
     if elems is None:
         elems = universe.elements()
-    elems = sorted(elems, key=universe.sort_key)
+    elems = sorted(elems)
     for i, r in enumerate(elems):
         for s in elems[i:]:
             lhs = universe.order(universe.join(r, s)) + universe.order(

@@ -172,7 +172,7 @@ def test_profiles_closed_under_corner_orientation(seed):
     U = S.universe
     fam = orient.profile_star_family(S)
     for P in orient.enumerate_tangles(S, fam):
-        for r, s in itertools.combinations(sorted(P, key=U.sort_key), 2):
+        for r, s in itertools.combinations(sorted(P), 2):
             j = U.join(r, s)
             if j in S.members:
                 assert U.invert(j) not in P
@@ -182,7 +182,7 @@ def _pairwise_consistency_violation(S, O):
     """The literal scan: first pair (a, b) of O, in sort order, on distinct
     separations with invert(a) < b."""
     U = S.universe
-    for a, b in itertools.combinations(sorted(O, key=U.sort_key), 2):
+    for a, b in itertools.combinations(sorted(O), 2):
         if b == U.invert(a):
             continue
         if U.lt(U.invert(a), b):
@@ -214,12 +214,12 @@ def test_consistency_matches_pairwise_scan():
             for _ in range(8)
         ]
         for O in list(cases):
-            members = sorted(O, key=U.sort_key)
+            members = sorted(O)
             cases.append(frozenset(rng.sample(members, rng.randint(0, len(members)))))
         # as many members as an orientation, one separation taken both ways
         for O in cases[:3]:
             if len(O) > 1:
-                x, y = rng.sample(sorted(O, key=U.sort_key), 2)
+                x, y = rng.sample(sorted(O), 2)
                 cases.append(O - {y} | {U.invert(x)})
         for O in cases:
             want = _pairwise_consistency_violation(S, O)

@@ -32,12 +32,12 @@ from test_gate import CASES, _loaded
 
 def literal_profile_violation(S, O):
     """Consistency first, then every pair (r, s), r at or before s in
-    sort_key order, whose co-join (r v s)* lies in O."""
+    value order, whose co-join (r v s)* lies in O."""
     bad = orient.consistency_violation(S, O)
     if bad is not None:
         return bad
     U = S.universe
-    elems = sorted(O, key=U.sort_key)
+    elems = sorted(O)
     for i, r in enumerate(elems):
         for s in elems[i:]:
             if U.invert(U.join(r, s)) in O:
@@ -214,7 +214,7 @@ def _orientations(S):
     U = S.universe
     for O in orient.consistent_orientations(S, BIG_CAPS):
         yield O
-        for x in sorted(O, key=U.sort_key)[:: max(1, len(O) // 3)]:
+        for x in sorted(O)[:: max(1, len(O) // 3)]:
             yield O - {x} | {U.invert(x)}
     for x in S.oriented:
         if x == U.invert(x):
@@ -644,21 +644,6 @@ def test_singleton_scans_match_a_literal_scan():
             assert got == want
             missing += want != (None, None)
     assert missing >= 40
-
-
-class _Reversed(BipartitionUniverse):
-    def sort_key(self, x):
-        return -x
-
-
-def test_masks_are_read_only_over_the_same_positions():
-    points = "pqrs"
-    S = SeparationSystem(BipartitionUniverse(points), range(16))
-    R = SeparationSystem(_Reversed(points), range(16))
-    assert S.members == R.members and S.oriented != R.oriented
-    fam = orient.profile_star_family(R)
-    want = orient.enumerate_tangles(S, orient.StarFamily(R, fam.stars, require_stars=False))
-    assert want and orient.enumerate_tangles(S, fam) == want
 
 
 # -- what the profile layer keeps --

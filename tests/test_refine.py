@@ -1,6 +1,7 @@
 """Close relation, guarded infima, and star refinement."""
 
 import random
+from dataclasses import replace
 
 import pytest
 
@@ -210,6 +211,31 @@ def test_refine_treeset_strict_growth():
     homes = {trees.lives_at(S, P, out.refined) for P in tangles}
     for node in trees.nodes_of(out.refined, BIG_CAPS):
         assert node in homes or node in fam
+
+
+def test_a_refined_set_and_its_tree_search_for_the_nodes_once(monkeypatch):
+    """refine_treeset and treeset_to_stree on the refined nested set
+    share one node search per caps; other caps search again."""
+    from tangletree import canonical
+
+    searched = []
+    search = trees._search_nodes
+
+    def counting(N, caps):
+        searched.append((N, caps))
+        return search(N, caps)
+
+    monkeypatch.setattr(trees, "_search_nodes", counting)
+    S, fam = randomgen.random_duality_instance(248)
+    out = canonical.refined_tree_of_tangles(S, fam, caps=BIG_CAPS).refinement
+    tree = trees.treeset_to_stree(out.refined, BIG_CAPS)
+    refined, nodes = out.refined, trees.nodes_of(out.refined, BIG_CAPS)
+    assert [caps for N, caps in searched if N is refined] == [BIG_CAPS]
+    assert [node for node, _ in out.node_kinds] == list(nodes)
+    assert tree.n == len(nodes) == len(out.node_kinds)
+    other = replace(BIG_CAPS, max_states=BIG_CAPS.max_states - 1)
+    assert trees.nodes_of(refined, other) == nodes == search(refined, BIG_CAPS)
+    assert [caps for N, caps in searched if N is refined] == [BIG_CAPS, other]
 
 
 def test_refine_treeset_all_essential_is_identity(p3):

@@ -118,7 +118,7 @@ def test_helpers_match_the_oracles_on_random_instances(points):
         if inst is None:
             continue
         S, fam = inst
-        pos, masks = S.pos, fam.masks_over(S)
+        pos, masks = S.pos, fam.masks_sorted
         tree = duality.duality_decide(S, fam, BIG_CAPS).tree
         for r in S.oriented:
             flags = S.classify(r)

@@ -40,7 +40,7 @@ def literal_down(S):
 
 def literal_maximal_members(S, subset):
     U = S.universe
-    elems = sorted(subset, key=U.sort_key)
+    elems = sorted(subset)
     return tuple(x for x in elems if not any(U.lt(x, y) for y in elems))
 
 
@@ -49,8 +49,8 @@ def literal_restrict_nested(S, M):
     return tuple(x for x in S.oriented if all(U.nested(x, m) for m in M))
 
 
-def literal_star_key(U, sigma):
-    return (len(sigma), tuple(sorted(U.sort_key(x) for x in sigma)))
+def literal_star_key(sigma):
+    return (len(sigma), tuple(sorted(sigma)))
 
 
 # -- seeded systems --
@@ -186,8 +186,7 @@ def _families():
 def test_stars_sorted_matches_the_tuple_order():
     sizes = set()
     for fam in _families():
-        U = fam.system.universe
-        want = tuple(sorted(fam.stars, key=lambda s: literal_star_key(U, s)))
+        want = tuple(sorted(fam.stars, key=literal_star_key))
         assert fam.stars_sorted == want
         keys = [oracles.star_key(fam, s) for s in want]
         assert keys == sorted(keys) and len(set(keys)) == len(keys)
@@ -210,8 +209,7 @@ def test_nodes_of_sorts_by_the_tuple_order():
     many = 0
     for S in SYSTEMS:
         N = trees.NestedSet(S, _nested_subset(S, rng))
-        U = S.universe
         nodes = trees.nodes_of(N, BIG_CAPS)
-        assert nodes == tuple(sorted(nodes, key=lambda s: literal_star_key(U, s)))
+        assert nodes == tuple(sorted(nodes, key=literal_star_key))
         many += len({len(s) for s in nodes}) > 1
     assert many > 5
