@@ -500,26 +500,52 @@ def bit_column(rows, bit):
     )
 
 
+def and_columns(cols, everyone):
+    """A function of a mask m over len(cols) bits: everyone ANDed with
+    cols[b] for each bit b of m.  It builds one table per byte of the
+    width, whose entry c holds the AND over the bits of c (the Four
+    Russians trick), so an AND over m costs one lookup per byte of m
+    instead of one per set bit.  Building costs one AND per entry: at
+    most 256 per byte, fewer for a last byte of fewer than 8 bits."""
+    tables = []
+    for p in range(0, len(cols), 8):
+        t = [everyone]
+        for c in cols[p : p + 8]:
+            t += [r & c for r in t]
+        tables.append(t)
+    if len(tables) <= 2:
+        # up to 16 columns, most graphs and cut systems: two lookups and
+        # no loop, which took 2.3 % off a graph-ladder round
+        t0, t1 = (*tables, [everyone], [everyone])[:2]
+        return lambda m: t0[m & 255] & t1[m >> 8]
+
+    def and_over(m):
+        out = everyone
+        for t in tables:
+            out &= t[m & 255]
+            m >>= 8
+        return out
+
+    return and_over
+
+
 def containment_rows(masks, width):
     """(sup, sub) for a list of masks of width bits: sup[i] has bit j set
     iff masks[i] is a subset of masks[j], and sub[j] has bit i set iff the
     same holds.  sup[i] ANDs the columns of the bits in masks[i], sub[j]
-    the complements of the columns of the bits outside masks[j]: at most
-    width big-int ANDs per mask."""
+    the complements of the columns of the bits outside masks[j], each
+    through and_columns: one lookup per byte of width for each mask.
+
+    GraphUniverse.order_tables, two calls, on 4xK5 (546 members, 17
+    vertices) and six triangles sharing a vertex (990 members, 13
+    vertices) took 3.7 and 5.5 ms with one AND per bit and takes 1.8
+    and 2.4 ms (medians, Python 3.11, a 2-core VM)."""
     everyone = (1 << len(masks)) - 1
     full = (1 << width) - 1
     col = [bit_column(masks, b) for b in range(width)]
-    not_col = [everyone ^ c for c in col]
-    sup, sub = [], []
-    for m in masks:
-        u = d = everyone
-        for b in bit_positions(m):
-            u &= col[b]
-        for b in bit_positions(full & ~m):
-            d &= not_col[b]
-        sup.append(u)
-        sub.append(d)
-    return sup, sub
+    sup_of = and_columns(col, everyone)
+    sub_of = and_columns([everyone ^ c for c in col], everyone)
+    return [sup_of(m) for m in masks], [sub_of(full & ~m) for m in masks]
 
 
 @dataclass(frozen=True)

@@ -15,6 +15,7 @@ from . import canonical, orient, trees
 from .core import (
     SeparationSystem,
     Universe,
+    and_columns,
     bit_column,
     bit_positions,
     containment_rows,
@@ -240,14 +241,25 @@ def tk_star_family(G: Graph, k, S=None, caps=DEFAULT_CAPS) -> StarFamily:
 
     Built from bitsets over the positions of S.oriented.  The partners of
     a member x, those y with x <= y*, are a row of S's order table.
-    has_a[v] holds the members whose A side contains vertex v, so
-    holding(X), the AND of has_a over a vertex set X, holds the members
-    whose A side holds all of X.  The partners y of x with A_y holding
-    the vertices outside A_x and their neighbours form a covering pair.
-    Any other pair leaves uncovered the vertices outside A_x + A_y and
-    the edges that lie in neither side; a third member must be a partner
-    of both and hold all of these vertices and the ends of these edges.
-    So every bit that survives is a covering star.
+    The has-A column of a vertex v holds the members whose A side
+    contains v, so holding(X), their AND over a vertex set X, holds the
+    members whose A side holds all of X.  inner[v] = holding(N[v]), over
+    v's closed neighbourhood, and held(a), the AND of inner over the
+    vertices outside a, holds the members whose A side holds the
+    vertices outside a and their neighbours.  Both ANDs go through
+    core.and_columns, one lookup per byte of the vertex set.  The
+    partners y of x in held(A_x) form a covering pair.  Any other pair
+    leaves uncovered the vertices outside A_x + A_y and the edges that
+    lie in neither side; a third member must be a partner of both, lie
+    in held(A_x + A_y) and hold the ends of these edges.  So every bit
+    that survives is a covering star.
+
+    No cache of held: on the 4x4 grid at k=5 (6,506 members, 373,696
+    stars) one raised the traced peak from 266 to 310 MB.  The call took
+    30.4 ms on 4xK5 at k=3, 64.5 ms on six triangles sharing a vertex
+    and 8.6 s on that grid with a loop over the vertices of each set,
+    and takes 22.1 ms, 54.0 ms and 5.7 s (medians, Python 3.11, a 2-core
+    VM); from_masks is about 8 and 40 ms of the first two.
     """
     if S is None:
         S = graph_separation_system(G, k, caps)
@@ -258,7 +270,12 @@ def tk_star_family(G: Graph, k, S=None, caps=DEFAULT_CAPS) -> StarFamily:
     adj = G.adj
     everyone = (1 << len(elems)) - 1
     a_sides = [x[0] for x in elems]
-    has_a = [bit_column(a_sides, v) for v in range(G.n)]
+    holding = and_columns(
+        [bit_column(a_sides, v) for v in range(G.n)], everyone
+    )
+    inner = and_columns(
+        [holding(adj[v] | 1 << v) for v in range(G.n)], everyone
+    )
     live = everyone
     for i, (a, b) in enumerate(elems):
         if a == b:
@@ -271,27 +288,11 @@ def tk_star_family(G: Graph, k, S=None, caps=DEFAULT_CAPS) -> StarFamily:
         (down[inv[i]] & live) >> (i + 1) << (i + 1) if live >> i & 1 else 0
         for i in range(len(elems))
     ]
-
-    reach = {}  # a vertex set -> the vertices outside it and their neighbours
-    holding = {}  # vertex set -> the members whose A side holds all of it
-
-    def reach_of(a):
-        out = reach.get(a)
-        if out is None:
-            out = full & ~a
-            for v in bit_positions(out):
-                out |= adj[v]
-            reach[a] = out
-        return out
-
-    def holding_of(need):
-        out = holding.get(need)
-        if out is None:
-            out = everyone
-            for v in bit_positions(need):
-                out &= has_a[v]
-            holding[need] = out
-        return out
+    # the middle member j of a triple needs a partner above it
+    middles = 0
+    for j, pj in enumerate(partners_above):
+        if pj:
+            middles |= 1 << j
 
     # each size in star order: i, then j, then l ascending
     singles = [1 << i for i in bit_positions(live) if a_sides[i] == full]
@@ -299,20 +300,13 @@ def tk_star_family(G: Graph, k, S=None, caps=DEFAULT_CAPS) -> StarFamily:
     for i, (x, pi) in enumerate(zip(elems, partners_above)):
         ax, bx = x
         ibit = 1 << i
-        m = pi & holding_of(reach_of(ax))
+        m = pi & inner(full & ~ax)
         while m:
             jbit = m & -m
             m ^= jbit
             pairs.append(ibit | jbit)
-        # An edge that lies in neither side of a pair joins A_x - A_y to
-        # A_y - A_x.  Its end u in A_x has a neighbour outside A_x, so u
-        # is in the separator; list each such u with those neighbours.
-        leaving = [
-            (1 << u, adj[u] & ~ax)
-            for u in bit_positions(ax & bx)
-            if adj[u] & ~ax
-        ]
-        m = pi
+        leaving = None
+        m = pi & middles
         while m:
             jbit = m & -m
             m ^= jbit
@@ -320,12 +314,26 @@ def tk_star_family(G: Graph, k, S=None, caps=DEFAULT_CAPS) -> StarFamily:
             third = pi & partners_above[j]
             if not third:
                 continue
-            ay = elems[j][0]
-            need = reach_of(ax | ay)
+            ay = a_sides[j]
+            third &= inner(full & ~(ax | ay))
+            if not third:
+                continue
+            # An edge that lies in neither side of the pair joins A_x - A_y
+            # to A_y - A_x.  Its end u in A_x has a neighbour outside A_x,
+            # so u is in the separator; list each such u with those
+            # neighbours, once per x.
+            if leaving is None:
+                leaving = [
+                    (1 << u, adj[u] & ~ax)
+                    for u in bit_positions(ax & bx)
+                    if adj[u] & ~ax
+                ]
+            ends = 0
             for ubit, out in leaving:
                 if out & ay and not ubit & ay:
-                    need |= ubit | out & ay
-            third &= holding_of(need)
+                    ends |= ubit | out & ay
+            if ends:
+                third &= holding(ends)
             while third:
                 lbit = third & -third
                 third ^= lbit
@@ -333,9 +341,9 @@ def tk_star_family(G: Graph, k, S=None, caps=DEFAULT_CAPS) -> StarFamily:
         if len(singles) + len(pairs) + len(triples) > caps.max_results:
             raise ResourceCapError("covering-star family too large")
 
-    # drop the caches and join the lists in place, so that neither lies
+    # drop the tables and join the lists in place, so that neither lies
     # under the family's own build
-    del reach, holding
+    del holding, inner
     singles += pairs
     singles += triples
     del pairs, triples

@@ -263,10 +263,11 @@ class StarFamily:
     def __contains__(self, sigma):
         """True iff sigma is a member: a binary search of masks_sorted by
         mask_order, whose key tells masks apart.  A set holding a value
-        that is not a member, hashable or not, is not one."""
+        that is not a member, hashable or not, is not one, nor is a value
+        that is not a collection."""
         try:
             m = self.system.member_mask(sigma)
-        except InputError:
+        except (InputError, TypeError):  # TypeError: sigma is not iterable
             return False
         masks, key = self.masks_sorted, mask_order(self.system)
         i = bisect_left(masks, key(m), key=key)

@@ -58,12 +58,13 @@ def _check(fam, seed=0):
 
 def test_an_unhashable_value_is_not_a_member():
     """[[1]] answers False, as every other foreign value does, on the
-    tk-star family of a path on 4 vertices."""
+    tk-star family of a path on 4 vertices; so do values that are not
+    collections at all."""
     G = graphsep.Graph.from_edges([("a", "b"), ("b", "c"), ("c", "d")])
     S = graphsep.graph_separation_system(G, 2, BIG_CAPS)
     fam = graphsep.tk_star_family(G, 2, S, BIG_CAPS)
     assert len(fam) > 0
-    for sigma in ([[1]], [{}], [FOREIGN], [1], ["a"]):
+    for sigma in ([[1]], [{}], [FOREIGN], [1], ["a"], 1, None, 1.5, object()):
         assert sigma not in fam
 
 

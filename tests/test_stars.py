@@ -194,8 +194,17 @@ def literal_from_masks_error(S, masks):
 # -- the graphs --
 
 
+def _glued_sizes(*sizes):
+    """Cliques of the given sizes sharing one vertex, as vertex blocks."""
+    return [["hub"] + [f"b{b}x{i}" for i in range(1, c)] for b, c in enumerate(sizes)]
+
+
 def _glued(blobs, clique):
-    return [["hub"] + [f"b{b}x{i}" for i in range(1, clique)] for b in range(blobs)]
+    return _glued_sizes(*[clique] * blobs)
+
+
+def _clique_edges(blocks):
+    return [(u, v) for block in blocks for i, u in enumerate(block) for v in block[i + 1:]]
 
 
 def _chain(length):
@@ -223,8 +232,7 @@ def ladder_graphs(seed):
             names = (f"v{i}" for i in rng.sample(range(1000), len(vertices)))
             rename = dict(zip(vertices, names))
             blocks = [sorted(rename[v] for v in block) for block in blocks]
-        edges = [(u, v) for block in blocks
-                 for i, u in enumerate(block) for v in block[i + 1:]]
+        edges = _clique_edges(blocks)
         if seed is not None:  # the flips and the shuffle of the edge list
             for _ in edges:
                 rng.random()
@@ -284,6 +292,35 @@ def test_tk_star_masks_match_the_frozenset_family():
             assert ((U.invert(x),) in new) == (frozenset((U.invert(x),)) in old.stars)
         sizes |= {len(s) for s in old.stars}
     assert sizes == {1, 2, 3}
+
+
+def byte_boundary_graphs():
+    """Graphs of 8, 9, 16 and 17 vertices, each side of the byte
+    boundaries of the per-byte vertex tables: cliques sharing a vertex,
+    and random connected graphs."""
+    for sizes in ((4, 5), (5, 5), (9, 8), (9, 9)):
+        yield f"glued {sizes}", graphsep.Graph.from_edges(_clique_edges(_glued_sizes(*sizes)))
+    for n in (8, 9, 16, 17):
+        G = randomgen.random_connected_graph(random.Random(n), n, extra=n)
+        yield f"random {n}", G
+
+
+def test_tk_star_masks_match_the_literal_order_across_byte_boundaries():
+    """The generator emits the literal family's masks in its star order,
+    on graphs each side of a byte boundary and on a 63-vertex path, the
+    largest Graph there is."""
+    path = graphsep.Graph.from_edges([(f"p{i:02}", f"p{i + 1:02}") for i in range(62)])
+    cases = [(label, G, k) for label, G in byte_boundary_graphs() for k in (2, 3, 4)]
+    cases.append(("path 63", path, 2))
+    seen = set()
+    for label, G, k in cases:
+        S = graphsep.graph_separation_system(G, k, BIG_CAPS)
+        new = graphsep.tk_star_family(G, k, S, BIG_CAPS)
+        old = literal_tk_star_family(G, k, S)
+        assert new._masks == old.masks_sorted, (label, k)
+        assert "masks_sorted" in vars(new), (label, k)  # kept as generated
+        seen.add(G.n)
+    assert seen == {8, 9, 16, 17, 63}
 
 
 @functools.cache

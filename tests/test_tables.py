@@ -1,8 +1,9 @@
 """The order tables from side masks and the predicates read from them:
-up_bits, down_bits and their strict forms, maximal_members,
-restrict_nested, and the position-keyed star order of stars_sorted,
-star_key and trees.nodes_of, each against the literal universe-oracle
-loop it replaced."""
+containment_rows and its per-byte AND tables (and_columns) at widths
+each side of the byte boundaries, up_bits, down_bits and their strict
+forms, maximal_members, restrict_nested, and the position-keyed star
+order of stars_sorted, star_key and trees.nodes_of, each against the
+literal loop it replaced."""
 
 import itertools
 import random
@@ -13,7 +14,9 @@ from tangletree.core import (
     SeparationSystem,
     TablePoset,
     Universe,
+    and_columns,
     bit_column,
+    containment_rows,
 )
 
 import oracles
@@ -47,6 +50,21 @@ def literal_maximal_members(S, subset):
 def literal_restrict_nested(S, M):
     U = S.universe
     return tuple(x for x in S.oriented if all(U.nested(x, m) for m in M))
+
+
+def literal_containment_rows(masks):
+    """(sup, sub) by testing every pair of masks for a subset."""
+    sup = [sum(1 << j for j, b in enumerate(masks) if a & ~b == 0) for a in masks]
+    sub = [sum(1 << i for i, a in enumerate(masks) if a & ~b == 0) for b in masks]
+    return sup, sub
+
+
+def literal_and(cols, everyone, m):
+    out = everyone
+    for b, c in enumerate(cols):
+        if m >> b & 1:
+            out &= c
+    return out
 
 
 def literal_star_key(sigma):
@@ -121,6 +139,45 @@ def test_bit_column():
     rows = [0b101, 0b011, 0b110, 0]
     assert [bit_column(rows, b) for b in range(4)] == [0b0011, 0b0110, 0b0101, 0]
     assert bit_column([], 3) == 0
+
+
+WIDTHS = (0, 1, 7, 8, 9, 16, 17, 24)  # each side of the byte boundaries
+
+
+def test_and_columns_matches_the_bit_loop():
+    rng = random.Random(3)
+    for width in WIDTHS:
+        for rows in (0, 1, 5, 70):
+            everyone = (1 << rows) - 1
+            cols = [rng.getrandbits(rows) for _ in range(width)]
+            if width:
+                cols[-1] = everyone & ~1  # the top column, one bit short
+            and_of = and_columns(cols, everyone)
+            full = (1 << width) - 1
+            masks = [0, full, full >> 1, 1 << width >> 1]
+            masks += [rng.getrandbits(width) for _ in range(40)]
+            for m in masks:
+                assert and_of(m) == literal_and(cols, everyone, m), (width, rows, m)
+    # no columns: the AND over the empty mask is everyone
+    assert and_columns([], 0b1011)(0) == 0b1011
+
+
+def test_containment_rows_match_the_subset_loop():
+    rng = random.Random(4)
+    for width in WIDTHS:
+        full = (1 << width) - 1
+        top = 1 << width >> 1  # the top bit; 0 at width 0
+        cases = [[], [0], [full], [0, full, 0]]
+        for n in (1, 2, 9, 40):
+            masks = [rng.getrandbits(width) for _ in range(n)]
+            cases.append(masks)
+            cases.append([m | top for m in masks] + [top, full])
+            # nested chains: many containments, and repeats
+            cases.append([full >> rng.randrange(width + 1) for _ in range(n)])
+        for masks in cases:
+            assert containment_rows(masks, width) == literal_containment_rows(
+                masks
+            ), (width, masks)
 
 
 # -- each table and predicate against its loop --
