@@ -23,7 +23,13 @@ from .errors import InputError, UnsupportedOperationError
 
 
 class Universe:
-    """Finite lattice with order-reversing involution.  Subclass API."""
+    """Finite lattice with order-reversing involution.  Subclass API.
+
+    A backend states the order and the lattice operations element by
+    element, and two hooks over a list of elements: lattice_codes and
+    code_orders.  A system reads its order tables from the join codes:
+    in a lattice x <= y iff x v y = y, so iff jcode(x) lies in jcode(y).
+    """
 
     has_order = False
 
@@ -49,12 +55,6 @@ class Universe:
         complement of x's up-set and the meet code x's down-set, both as
         bitsets over elements().  Bipartitions and graph separations use
         their side masks instead.  Elements are not checked."""
-        raise NotImplementedError
-
-    def order_tables(self, elems):
-        """(up, down) over the sorted members elems of a system: up[i] has
-        bit j set iff elems[i] <= elems[j], and down[j] has bit i set iff
-        the same holds.  Backends build the rows from containment_rows."""
         raise NotImplementedError
 
     def order(self, x):
@@ -120,12 +120,12 @@ class TablePoset(Universe):
     """Universe given by explicit tables; validates all laws at load time.
 
     leq_pairs may be any relation whose reflexive-transitive closure is the
-    intended partial order (closed by default).  Meets and joins are
+    intended partial order; it is closed here.  Meets and joins are
     computed as glb/lub; a pair without one makes the input not a lattice
     and is rejected.
     """
 
-    def __init__(self, n, involution, leq_pairs, order=None, names=None, close=True):
+    def __init__(self, n, involution, leq_pairs, order=None, names=None):
         if n <= 0:
             raise InputError("table universe needs at least one element")
         self.n = n
@@ -145,31 +145,24 @@ class TablePoset(Universe):
             if not (0 <= i < n and 0 <= j < n):
                 raise InputError(f"leq pair ({i},{j}) out of range")
             down[j] |= 1 << i
-        if close:
-            changed = True
-            while changed:
-                changed = False
-                for j in range(n):
-                    acc = down[j]
-                    m = acc
-                    while m:
-                        b = m & -m
-                        acc |= down[b.bit_length() - 1]
-                        m ^= b
-                    if acc != down[j]:
-                        down[j] = acc
-                        changed = True
+        changed = True
+        while changed:
+            changed = False
+            for j in range(n):
+                acc = down[j]
+                m = acc
+                while m:
+                    b = m & -m
+                    acc |= down[b.bit_length() - 1]
+                    m ^= b
+                if acc != down[j]:
+                    down[j] = acc
+                    changed = True
         self._down = down
         self._validate_poset()
 
         self._meet = [[self._glb(i, j) for j in range(n)] for i in range(n)]
-        self._up = [0] * n
-        for j in range(n):
-            m = down[j]
-            while m:
-                b = m & -m
-                self._up[b.bit_length() - 1] |= 1 << j
-                m ^= b
+        self._up = [bit_column(down, i) for i in range(n)]  # up[i]: j with i <= j
         self._join = [[self._lub(i, j) for j in range(n)] for i in range(n)]
 
         if order is not None:
@@ -190,23 +183,12 @@ class TablePoset(Universe):
     # -- load-time law checks --
 
     def _validate_poset(self):
+        # the closure is reflexive and transitive: only antisymmetry can fail
         n, down = self.n, self._down
-        for i in range(n):
-            if not down[i] >> i & 1:
-                raise InputError("leq not reflexive")  # unreachable when closed
         for i in range(n):
             for j in range(n):
                 if i != j and down[i] >> j & 1 and down[j] >> i & 1:
                     raise InputError(f"leq not antisymmetric on ({i},{j})")
-        for j in range(n):
-            acc = 0
-            m = down[j]
-            while m:
-                b = m & -m
-                acc |= down[b.bit_length() - 1]
-                m ^= b
-            if acc != down[j]:
-                raise InputError(f"leq not transitive below element {j}")
 
     def _glb(self, i, j):
         lower = self._down[i] & self._down[j]
@@ -271,11 +253,6 @@ class TablePoset(Universe):
     def lattice_codes(self, elems):
         full = (1 << self.n) - 1
         return [full ^ self._up[x] for x in elems], [self._down[x] for x in elems]
-
-    def order_tables(self, elems):
-        # x <= y iff the down-set of x lies in that of y
-        up, down = containment_rows([self._down[x] for x in elems], self.n)
-        return tuple(up), tuple(down)
 
     def code_orders(self, jcodes, mcodes):
         if self._order is None:
@@ -384,10 +361,6 @@ class BipartitionUniverse(Universe):
 
     def lattice_codes(self, elems):
         return elems, elems
-
-    def order_tables(self, elems):
-        up, down = containment_rows(elems, len(self.ground))
-        return tuple(up), tuple(down)
 
     def order(self, x):
         if self._order is None:
@@ -536,10 +509,11 @@ def containment_rows(masks, width):
     the complements of the columns of the bits outside masks[j], each
     through and_columns: one lookup per byte of width for each mask.
 
-    GraphUniverse.order_tables, two calls, on 4xK5 (546 members, 17
-    vertices) and six triangles sharing a vertex (990 members, 13
-    vertices) took 3.7 and 5.5 ms with one AND per bit and takes 1.8
-    and 2.4 ms (medians, Python 3.11, a 2-core VM)."""
+    A system's order tables are one call on its join codes: 1.7 and 2.1
+    ms on 4xK5 at k=3 (546 members, 34-bit codes) and six triangles
+    sharing a vertex (990, 26 bits), against 1.7 and 1.9 ms for a call
+    on the A sides and one on the B sides (medians, Python 3.11, 2-core
+    VM), and 3.7 and 5.5 ms for these two with one AND per bit."""
     everyone = (1 << len(masks)) - 1
     full = (1 << width) - 1
     col = [bit_column(masks, b) for b in range(width)]
@@ -650,7 +624,10 @@ class SeparationSystem:
 
     @cached_property
     def _order_tables(self):
-        return self.universe.order_tables(self.oriented)
+        # x <= y iff x v y = y, that is iff jcode(x) lies in jcode(y)
+        jc = self.lattice_codes[0]
+        up, down = containment_rows(jc, max(jc, default=0).bit_length())
+        return tuple(up), tuple(down)
 
     @cached_property
     def up_bits(self):
@@ -734,15 +711,15 @@ class SeparationSystem:
         """Flags of x; the trivial witness is the first y in oriented
         order with x < y and x < y*, canonically oriented."""
         self.check_member(x)
-        U = self.universe
-        xbar = U.invert(x)
-        above = self._trivial_witnesses(self.pos[x])
+        i = self.pos[x]
+        j = self.inv_pos[i]
+        above = self._trivial_witnesses(i)
         witness = None
         if above:
-            witness = U.canon(self.oriented[(above & -above).bit_length() - 1])
-        return SepFlags(
-            x == xbar, U.leq(x, xbar), U.leq(xbar, x), bool(above), witness
-        )
+            y = self.oriented[(above & -above).bit_length() - 1]
+            witness = self.universe.canon(y)
+        small, cosmall = self.up_bits[i] >> j & 1, self.up_bits[j] >> i & 1
+        return SepFlags(i == j, small == 1, cosmall == 1, bool(above), witness)
 
     def trivial_members(self):
         """Oriented members that are trivial in the system, sorted."""
@@ -751,8 +728,9 @@ class SeparationSystem:
         )
 
     def small_members(self):
-        U = self.universe
-        return tuple(x for x in self.oriented if U.leq(x, U.invert(x)))
+        """Oriented members x with x <= x*, sorted."""
+        rows = zip(self.oriented, self.up_bits, self.inv_pos)
+        return tuple(x for x, up, j in rows if up >> j & 1)
 
     def submodular_violation(self):
         """First pair (r, s), r at or before s in oriented order, with

@@ -18,7 +18,6 @@ from .core import (
     and_columns,
     bit_column,
     bit_positions,
-    containment_rows,
 )
 from .orient import StarFamily
 
@@ -155,15 +154,6 @@ class GraphUniverse(Universe):
         n, full = self.graph.n, self.graph.full_mask
         codes = [a << n | full ^ b for a, b in elems]
         return codes, codes
-
-    def order_tables(self, elems):
-        n = self.graph.n
-        a_sup, a_sub = containment_rows([x[0] for x in elems], n)
-        b_sup, b_sub = containment_rows([x[1] for x in elems], n)
-        # x <= y iff A_x lies in A_y and B_y lies in B_x
-        up = tuple(map(int.__and__, a_sup, b_sub))
-        down = tuple(map(int.__and__, a_sub, b_sup))
-        return up, down
 
     def order(self, x):
         return bin(x[0] & x[1]).count("1")

@@ -123,13 +123,19 @@ def load_universe(obj):
         if weights is None:
             return BipartitionUniverse(ground)
         idx = {name: i for i, name in enumerate(ground)}
-        w = {}
+        w, keys = {}, {}
         for key, val in weights.items():
             names = key.split(",")
             ends = {idx.get(name.strip()) for name in names}
             if len(names) != 2 or len(ends) != 2 or None in ends:
                 raise InputError(f"order weight {key!r} does not name two points")
-            w[tuple(sorted(ends))] = _checked(val, int, f"order weight of {key!r}")
+            pair = tuple(sorted(ends))
+            first = keys.setdefault(pair, key)
+            if first != key:
+                raise InputError(
+                    f"order weights {first!r} and {key!r} name the same pair"
+                )
+            w[pair] = _checked(val, int, f"order weight of {key!r}")
         return BipartitionUniverse(ground, order_fn=weighted_cut(w))
     raise InputError(f"unknown universe type {kind!r}")
 

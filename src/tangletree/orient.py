@@ -363,21 +363,20 @@ def _sep_trial_order(S):
     Separations sorted by (order, value); within one separation the
     leq-smaller orientation goes first, falling back to value order.
     """
-    U = S.universe
+    U, elems, pos, inv, up = S.universe, S.oriented, S.pos, S.inv_pos, S.up_bits
     seps = list(S.separations)
     if U.has_order:
         seps.sort(key=lambda s: (U.order(s), s))
     out = []
     for s in seps:
-        t = U.invert(s)
-        if s == t:
+        i = pos[s]
+        j = inv[i]
+        if i == j:
             out.append((s,))
-        elif U.leq(s, t):
-            out.append((s, t))
-        elif U.leq(t, s):
-            out.append((t, s))
+        elif up[j] >> i & 1:
+            out.append((elems[j], s))  # s* < s
         else:
-            out.append((s, t))  # s is canonical, keys already ordered
+            out.append((s, elems[j]))  # s < s*, or s is canonical
     return out
 
 

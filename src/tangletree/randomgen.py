@@ -98,9 +98,8 @@ def random_shift_closed_family(rng: random.Random, S, upsets=1, stars=1, repair_
         x = rng.choice(elems)
         if x == U.invert(x):
             continue
-        for y in elems:
-            if U.leq(x, y):
-                fam_stars.add(frozenset((y,)))
+        for p in bit_positions(S.up_bits[S.pos[x]]):
+            fam_stars.add(frozenset((elems[p],)))
     for _ in range(stars):
         size = rng.choice((1, 2, 2, 3))
         pick = frozenset(rng.sample(elems, min(size, len(elems))))

@@ -138,13 +138,13 @@ def _home_vertex(T: STree, O):
     raise IntegrityError("consistent orientation admits no sink in the tree")
 
 
-def refine_star(S, sigma, family, witnesses=None, tangles=None, caps=DEFAULT_CAPS, trace=None) -> STree:
+def refine_star(S, sigma, family, tangles=None, caps=DEFAULT_CAPS, trace=None) -> STree:
     """An S-tree over family + inverse singletons of sigma, with every
     member of sigma among its leaf separations.
 
     sigma must be a star orienting distinct separations that no tangle
     of the family contains, and each member's inverse must be closely
-    related to some tangle (supplied as witnesses or discovered here).
+    related to some tangle.
     """
     U = S.universe
     sigma = frozenset(sigma)
@@ -166,18 +166,7 @@ def refine_star(S, sigma, family, witnesses=None, tangles=None, caps=DEFAULT_CAP
         if sigma <= frozenset(O):
             raise DomainError("star is essential: a tangle contains it")
 
-    if witnesses is None:
-        witnesses = witnesses_for_star(S, sigma, tangles)
-    else:
-        witnesses = [frozenset(P) for P in witnesses]
-        if len(witnesses) != len(members):
-            raise InputError("one witness tangle per star member, in order")
-        for s, P in zip(members, witnesses):
-            if orient.f_tangle_violation(S, P, family) is not None:
-                raise InputError("witness is not a tangle of the family")
-            bad = closely_related_violation(S, U.invert(s), P)
-            if bad is not None:
-                raise InputError(f"witness fails close relationship: {bad}")
+    witnesses = witnesses_for_star(S, sigma, tangles)
 
     # extend by the up-closures of the member inverses, as singletons
     inverses = [U.invert(s) for s in members]
@@ -208,7 +197,7 @@ def refine_star(S, sigma, family, witnesses=None, tangles=None, caps=DEFAULT_CAP
         if len(star) != 1:
             raise IntegrityError("tangle sits at a non-singleton star")
         (w,) = star
-        if not U.leq(U.invert(target), w):
+        if not S.up_bits[S.pos[U.invert(target)]] >> S.pos[w] & 1:
             raise IntegrityError("sink singleton is not above the right inverse")
         wbar = U.invert(w)
         flags = S.classify(wbar)

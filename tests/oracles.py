@@ -12,7 +12,8 @@ nestedness, distinguishing, the tight and order scans of an S-tree, and
 the order and lattice checks of a canonical.Isomorphism, each the pair
 loop that src replaced by a body over positions, and the F-tangles by
 the 2^|S| loop over every orientation.  Then the duality
-decision in its search-first order, and the order tables, lattice codes
+decision in its search-first order, the order tables and the DFS's trial
+order that a system now reads from its join codes, and the lattice codes
 and code orders that TablePoset once took from the Universe base, by leq
 over every pair.  Last, helpers that only tests call: the universe laws,
 corner separations, the S-tree encoding, and a few thin wrappers.
@@ -436,7 +437,8 @@ def search_first_decide(S, family, caps=DEFAULT_CAPS, verify=True):
     return duality.DualityResult("tree", tree=tree)
 
 
-# -- the table fallbacks that TablePoset now answers from its bit tables --
+# -- the order tables and trial order that systems read from join codes,
+# and the codes and orders that TablePoset once took from the Universe base --
 
 
 def order_tables(U, elems):
@@ -453,6 +455,30 @@ def order_tables(U, elems):
         for j in bit_positions(m):
             down[j] |= 1 << i
     return tuple(up), tuple(down)
+
+
+def sep_trial_order(S):
+    """Per separation, the tuple of candidate orientations, tried in order.
+
+    Separations sorted by (order, value); within one separation the
+    leq-smaller orientation goes first, falling back to value order.
+    """
+    U = S.universe
+    seps = list(S.separations)
+    if U.has_order:
+        seps.sort(key=lambda s: (U.order(s), s))
+    out = []
+    for s in seps:
+        t = U.invert(s)
+        if s == t:
+            out.append((s,))
+        elif U.leq(s, t):
+            out.append((s, t))
+        elif U.leq(t, s):
+            out.append((t, s))
+        else:
+            out.append((s, t))  # s is canonical, keys already ordered
+    return out
 
 
 def lattice_codes(U, elems):

@@ -91,6 +91,22 @@ def test_load_bipartition_with_weights():
     assert U.order(U.mask_of(["b"])) == 3
 
 
+def test_a_pair_weighted_twice_is_refused_by_both_keys():
+    # "b,a" and "a, b" name the pair of "a,b"; neither key may win silently
+    for twice in ("b,a", "a, b"):
+        with pytest.raises(InputError) as err:
+            io.load_universe(
+                {
+                    "type": "bipartition",
+                    "ground_set": ["a", "b", "c"],
+                    "order_weights": {"a,b": 1, twice: 5},
+                }
+            )
+        assert str(err.value) == (
+            f"order weights 'a,b' and {twice!r} name the same pair"
+        )
+
+
 def test_weighted_ground_over_the_cap_is_refused_before_any_cut_is_made():
     # a weight on the last of 40 points: the cap is checked before the
     # cut is tabulated, which would take 2^39 entries

@@ -1,9 +1,11 @@
-"""The order tables from side masks and the predicates read from them:
+"""The order tables from join codes and the predicates read from them:
 containment_rows and its per-byte AND tables (and_columns) at widths
-each side of the byte boundaries, up_bits, down_bits and their strict
-forms, maximal_members, restrict_nested, and the position-keyed star
-order of stars_sorted, star_key and trees.nodes_of, each against the
-literal loop it replaced."""
+each side of the byte boundaries; up_bits, down_bits and their strict
+forms, which every system reads from the containment of its members'
+join codes, on graph, bipartition and table systems, restricted ones
+and empty ones; the DFS's trial order; maximal_members, restrict_nested,
+and the position-keyed star order of stars_sorted, star_key and
+trees.nodes_of, each against the literal loop it replaced."""
 
 import itertools
 import random
@@ -13,7 +15,6 @@ from tangletree.core import (
     BipartitionUniverse,
     SeparationSystem,
     TablePoset,
-    Universe,
     and_columns,
     bit_column,
     containment_rows,
@@ -125,10 +126,6 @@ SYSTEMS = BASE + [_restricted(S, seed) for seed, S in enumerate(BASE)]
 def test_the_systems_cover_every_case():
     kinds = {type(S.universe).__name__ for S in SYSTEMS}
     assert kinds == {"BipartitionUniverse", "GraphUniverse", "TablePoset"}
-    # each backend ANDs columns of its own masks; the base only states
-    # the contract
-    for cls in (TablePoset, graphsep.GraphUniverse, BipartitionUniverse):
-        assert cls.order_tables is not Universe.order_tables
     assert any(x == S.universe.invert(x) for S in SYSTEMS for x in S.oriented)
     assert any(len(S.universe.ground) == 1 for S in SYSTEMS
                if isinstance(S.universe, BipartitionUniverse))
@@ -183,13 +180,30 @@ def test_containment_rows_match_the_subset_loop():
 # -- each table and predicate against its loop --
 
 
+def _empty_systems():
+    """One system with no members in each backend: width-0 tables."""
+    yield SeparationSystem(BipartitionUniverse("ab"), ())
+    yield SeparationSystem(graphsep.GraphUniverse(graphsep.Graph("pq", [])), ())
+    yield SeparationSystem(table_system().universe, ())
+
+
 def test_order_tables_match_the_leq_loop():
-    for S in SYSTEMS:
+    for S in [*SYSTEMS, *_empty_systems()]:
         up, down = literal_up(S), literal_down(S)
         assert S.up_bits == up
         assert S.down_bits == down
         assert S.strict_up_bits == tuple(m & ~(1 << i) for i, m in enumerate(up))
         assert S.strict_down_bits == tuple(m & ~(1 << i) for i, m in enumerate(down))
+
+
+def test_sep_trial_order_matches_the_leq_loop():
+    # the trial order fixes the DFS's path, so where max_states trips; a
+    # chain numbered top down puts each inverse below its canonical member
+    chain = TablePoset(4, [3, 2, 1, 0], [(3, 2), (2, 1), (1, 0)])
+    top_down = SeparationSystem(chain, range(4))
+    assert oracles.sep_trial_order(top_down) == [(3, 0), (2, 1)]
+    for S in [*SYSTEMS, *_empty_systems(), top_down]:
+        assert orient._sep_trial_order(S) == oracles.sep_trial_order(S)
 
 
 def _subsets(S, rng):
