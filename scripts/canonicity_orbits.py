@@ -68,8 +68,8 @@ def main():
     ap.add_argument("--start-seed", type=int, default=0)
     args = ap.parse_args()
 
-    build_canonical = lambda S, ps: canonical.canonical_nested_set(S, ps, CAPS)
-    build_good = lambda S, ps: canonical.good_nested_set(S, ps, CAPS)
+    build_canonical = lambda S, ps: canonical.canonical_nested_set(S, ps)
+    build_good = lambda S, ps: canonical.good_nested_set(S, ps)
 
     t0 = time.monotonic()
     done = 0

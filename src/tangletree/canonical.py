@@ -62,7 +62,7 @@ class CanonicalResult:
     profiles: tuple
 
 
-def canonical_nested_set(S, profiles, caps=DEFAULT_CAPS) -> CanonicalResult:
+def canonical_nested_set(S, profiles) -> CanonicalResult:
     """Distinguish the profiles by infima of exclusive maxima.
 
     Rounds retire every profile that currently owns an exclusive maximal
@@ -158,7 +158,7 @@ def refined_tree_of_tangles(S, family, tangles=None, caps=DEFAULT_CAPS) -> Refin
         tangles = orient.enumerate_tangles(S, family, caps)
     if not tangles:
         raise DomainError("the family has no tangles")
-    base = canonical_nested_set(S, tangles, caps)
+    base = canonical_nested_set(S, tangles)
     out = refine.refine_treeset(S, base.nested, family, tangles=tangles, caps=caps)
     return RefinedTreeResult(canonical=base, refinement=out)
 
@@ -204,7 +204,7 @@ def e_set(S, P, profiles, S_M):
     return tuple(out)
 
 
-def good_nested_set(S, profiles, caps=DEFAULT_CAPS) -> CanonicalResult:
+def good_nested_set(S, profiles) -> CanonicalResult:
     """Distinguish the profiles by good separations only.
 
     Each round works in the subsystem nested with what is already built,

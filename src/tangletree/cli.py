@@ -71,10 +71,6 @@ def _family(spec, S, G, k, caps):
     raise InputError(f"unknown family {spec!r}")
 
 
-def _emit(args, text):
-    sys.stdout.write(text + "\n")
-
-
 # -- check --
 
 
@@ -124,12 +120,12 @@ def cmd_check(args):
     for name, fails in checks:
         if fails:
             bad += 1
-            _emit(args, f"violation: {name}: {fails}")
+            print(f"violation: {name}: {fails}")
         else:
-            _emit(args, f"ok: {name}")
-    _emit(args, f"system: {len(S)} separations, {len(S.oriented)} oriented")
+            print(f"ok: {name}")
+    print(f"system: {len(S)} separations, {len(S.oriented)} oriented")
     if fam is not None:
-        _emit(args, f"family: {len(fam)} members")
+        print(f"family: {len(fam)} members")
     return 1 if bad else 0
 
 
@@ -146,21 +142,16 @@ def cmd_tangles(args):
     # still needs the family for --refine, peaks at 2.67 MB elsewhere)
     del fam
     if args.format == "json":
-        _emit(
-            args,
-            io.dump_json(
-                {
-                    "count": len(tangles),
-                    "tangles": [io.orientation_to_json(S, O) for O in tangles],
-                }
-            ),
-        )
+        print(io.dump_json({
+            "count": len(tangles),
+            "tangles": [io.orientation_to_json(S, O) for O in tangles],
+        }))
     else:
         U = S.universe
-        _emit(args, f"{len(tangles)} tangles")
+        print(f"{len(tangles)} tangles")
         for i, O in enumerate(tangles):
             mem = ", ".join(U.format_element(x) for x in sorted(O))
-            _emit(args, f"  [{i}] {mem}")
+            print(f"  [{i}] {mem}")
     return 0
 
 
@@ -177,21 +168,20 @@ def cmd_duality(args):
             out["tangle"] = io.orientation_to_json(S, res.tangle)
         else:
             out["tree"] = io.stree_to_json(res.tree)
-        _emit(args, io.dump_json(out))
-    elif args.format == "dot" and res.kind == "tree":
-        _emit(args, io.stree_to_dot(res.tree))
+        print(io.dump_json(out))
+    elif args.format == "dot":
+        if res.kind != "tree":
+            raise InputError(f"the answer is a {res.kind}; no dot output")
+        print(io.stree_to_dot(res.tree))
     else:
         U = S.universe
-        _emit(args, f"kind: {res.kind}")
+        print(f"kind: {res.kind}")
         if res.kind == "tangle":
             mem = ", ".join(U.format_element(x) for x in sorted(res.tangle))
-            _emit(args, f"tangle: {mem}")
+            print(f"tangle: {mem}")
         else:
             for u, v in sorted(res.tree.edges):
-                _emit(
-                    args,
-                    f"edge {u}-{v}: {U.format_element(res.tree.alpha[(u, v)])}",
-                )
+                print(f"edge {u}-{v}: {U.format_element(res.tree.alpha[(u, v)])}")
     return 0
 
 
@@ -208,7 +198,7 @@ def cmd_tree_of_tangles(args):
 
     trace = {}
     if args.good:
-        res = canonical.good_nested_set(S, tangles, caps)
+        res = canonical.good_nested_set(S, tangles)
         nested = res.nested
         trace["rounds"] = list(res.rounds)
     elif args.refine:
@@ -217,7 +207,7 @@ def cmd_tree_of_tangles(args):
         trace["rounds"] = list(res.canonical.rounds)
         trace["inessential"] = len(res.refinement.inessential)
     else:
-        res = canonical.canonical_nested_set(S, tangles, caps)
+        res = canonical.canonical_nested_set(S, tangles)
         nested = res.nested
         trace["rounds"] = list(res.rounds)
 
@@ -236,24 +226,24 @@ def cmd_tree_of_tangles(args):
         payload["trace"] = trace
 
     if args.format == "json":
-        _emit(args, io.dump_json(payload))
+        print(io.dump_json(payload))
     elif args.format == "dot":
         if tree is None:
             raise InputError("nested set is not a tree set; no dot output")
         if dec is not None:
-            _emit(args, io.decomposition_to_dot(dec))
+            print(io.decomposition_to_dot(dec))
         else:
-            _emit(args, io.stree_to_dot(tree))
+            print(io.stree_to_dot(tree))
     else:
-        _emit(args, f"tangles: {len(tangles)}")
-        _emit(args, "nested set:")
+        print(f"tangles: {len(tangles)}")
+        print("nested set:")
         for s in sorted(nested.members):
-            _emit(args, f"  {U.format_pair(s)}")
+            print(f"  {U.format_pair(s)}")
         if tree is not None:
             for u, v in sorted(tree.edges):
-                _emit(args, f"edge {u}-{v}: {U.format_element(tree.alpha[(u, v)])}")
+                print(f"edge {u}-{v}: {U.format_element(tree.alpha[(u, v)])}")
         if args.trace:
-            _emit(args, f"trace: {trace}")
+            print(f"trace: {trace}")
     return 0
 
 
@@ -264,7 +254,11 @@ def build_parser():
     )
     sub = p.add_subparsers(dest="command", required=True)
 
-    def common(sp, fmt=("json", "text")):
+    def command(name, fn, summary, fmt=None):
+        """A subcommand with the flags every command reads, and --format
+        with the choices fmt where the command reads it."""
+        sp = sub.add_parser(name, help=summary)
+        sp.set_defaults(fn=fn)
         sp.add_argument("input", help="graph edge list or JSON artifact")
         sp.add_argument("--k", type=int, default=None, help="order threshold")
         sp.add_argument(
@@ -272,32 +266,26 @@ def build_parser():
             default=None,
             help="tk-star | profiles | file:<path>",
         )
-        sp.add_argument("--format", choices=fmt, default="text")
+        if fmt:
+            sp.add_argument("--format", choices=fmt, default="text")
         sp.add_argument("--max-seps", type=int, default=None)
-        sp.add_argument("--seed", type=int, default=0)
         sp.add_argument(
             "--jobs", type=int, default=1,
             help="accepted; changes neither the output nor the work done",
         )
-        sp.add_argument("--trace", action="store_true")
+        return sp
 
-    sp = sub.add_parser("check", help="validate input and report properties")
-    common(sp)
-    sp.set_defaults(fn=cmd_check)
-
-    sp = sub.add_parser("tangles", help="enumerate tangles")
-    common(sp)
-    sp.set_defaults(fn=cmd_tangles)
-
-    sp = sub.add_parser("duality", help="tangle or tree over the family")
-    common(sp, fmt=("json", "dot", "text"))
-    sp.set_defaults(fn=cmd_duality)
-
-    sp = sub.add_parser("tree-of-tangles", help="canonical nested set")
-    common(sp, fmt=("json", "dot", "text"))
-    sp.add_argument("--refine", action="store_true", help="refine inessential nodes")
-    sp.add_argument("--good", action="store_true", help="use good separations")
-    sp.set_defaults(fn=cmd_tree_of_tangles)
+    sp = command("check", cmd_check, "validate input and report properties")
+    sp.add_argument("--seed", type=int, default=0, help="seed of a sampled check")
+    command("tangles", cmd_tangles, "enumerate tangles", ("json", "text"))
+    command("duality", cmd_duality, "tangle or tree over the family",
+            ("json", "dot", "text"))
+    sp = command("tree-of-tangles", cmd_tree_of_tangles, "canonical nested set",
+                 ("json", "dot", "text"))
+    sp.add_argument("--trace", action="store_true", help="add the per-round trace")
+    how = sp.add_mutually_exclusive_group()
+    how.add_argument("--refine", action="store_true", help="refine inessential nodes")
+    how.add_argument("--good", action="store_true", help="use good separations")
     return p
 
 

@@ -211,7 +211,7 @@ def shift_stree(T: STree, r, s, family) -> STree:
     if family is not None:
         family.require_system(S)
     rep = T.validate(family)
-    if not rep.all_good(need_family=family is not None):
+    if not rep.all_good():
         raise InputError(f"tree is not tight/irredundant over the family: {rep}")
     if r not in T.leaf_separations():
         raise InputError("shift base is not a leaf separation")

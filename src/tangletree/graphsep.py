@@ -344,14 +344,11 @@ def tk_star_family(G: Graph, k, S=None, caps=DEFAULT_CAPS) -> StarFamily:
     )
 
 
-def graph_tangles(G: Graph, k, family=None, caps=DEFAULT_CAPS):
+def graph_tangles(G: Graph, k, caps=DEFAULT_CAPS):
     """The tangles of order k: orientations avoiding all covering stars."""
-    if family is None:
-        S = graph_separation_system(G, k, caps)
-        family = tk_star_family(G, k, S, caps)
-    return family.system, family, orient.enumerate_tangles(
-        family.system, family, caps
-    )
+    S = graph_separation_system(G, k, caps)
+    family = tk_star_family(G, k, S, caps)
+    return S, family, orient.enumerate_tangles(S, family, caps)
 
 
 # -- tree-decomposition export --

@@ -122,7 +122,11 @@ def load_universe(obj):
         weights = _field(obj, "order_weights", dict, None)
         if weights is None:
             return BipartitionUniverse(ground)
-        idx = {name: i for i, name in enumerate(ground)}
+        # the keys name points as they print; where two print alike,
+        # BipartitionUniverse(ground) raises its own error
+        idx = {str(name): i for i, name in enumerate(ground)}
+        if len(idx) != len(ground):
+            return BipartitionUniverse(ground)
         w, keys = {}, {}
         for key, val in weights.items():
             names = key.split(",")
@@ -215,9 +219,9 @@ def stree_to_json(T):
     }
 
 
-def stree_to_dot(T, name="stree"):
+def stree_to_dot(T):
     U = T.system.universe
-    lines = [f"graph {name} {{"]
+    lines = ["graph stree {"]
     for v in range(T.n):
         lines.append(f'  n{v} [label="{v}"];')
     for u, v in sorted(T.edges):
@@ -227,8 +231,8 @@ def stree_to_dot(T, name="stree"):
     return "\n".join(lines)
 
 
-def decomposition_to_dot(dec, name="decomposition"):
-    lines = [f"graph {name} {{"]
+def decomposition_to_dot(dec):
+    lines = ["graph decomposition {"]
     for v, part in enumerate(dec.parts):
         label = "{" + ",".join(map(str, part)) + "}"
         lines.append(f'  n{v} [label="{label}"];')

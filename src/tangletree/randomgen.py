@@ -83,7 +83,7 @@ def standard_star_base(S):
     return stars
 
 
-def random_shift_closed_family(rng: random.Random, S, upsets=1, stars=1, repair_limit=400):
+def random_shift_closed_family(rng: random.Random, S, upsets=1, stars=1):
     """A standard star family closed under shifting, or None.
 
     Starts from the mandatory singletons, sprinkles random up-closed
@@ -109,7 +109,7 @@ def random_shift_closed_family(rng: random.Random, S, upsets=1, stars=1, repair_
         fam = StarFamily(S, fam_stars)
     except InputError:
         return None
-    for _ in range(repair_limit):
+    for _ in range(400):  # repair rounds before giving up
         bad = duality.shifting_closure_violation(S, fam)
         if bad is None:
             return StarFamily.from_masks(

@@ -158,18 +158,17 @@ def essential_nodes(S, N: NestedSet, orientations, caps=DEFAULT_CAPS) -> NodeSpl
 
 @dataclass
 class StreeReport:
-    is_stree: bool
     over_f: object  # bool, or None when no family was supplied
     irredundant: bool
     tight: bool
     order_preserving: bool
     witness: object = None
 
-    def all_good(self, need_family=True):
-        flags = [self.is_stree, self.irredundant, self.tight, self.order_preserving]
-        if need_family:
-            flags.append(self.over_f)
-        return all(f is True for f in flags)
+    def all_good(self):
+        """Irredundant, tight, order-preserving and, where a family was
+        supplied, over it."""
+        return (self.over_f is not False and self.irredundant and self.tight
+                and self.order_preserving)
 
 
 class STree:
@@ -290,7 +289,7 @@ class STree:
                     break
             if not order_ok:
                 break
-        return StreeReport(True, over, irred, tight, order_ok, witness)
+        return StreeReport(over, irred, tight, order_ok, witness)
 
 
 def treeset_to_stree(N: NestedSet, caps=DEFAULT_CAPS) -> STree:
@@ -469,7 +468,7 @@ def irredundant_reduction(T: STree, keep=(), family=None) -> STree:
     rep = out.validate(family)
     if not rep.irredundant or not rep.tight:
         raise IntegrityError(f"reduction left a non-reduced tree: {rep.witness}")
-    if family is not None and rep.over_f is False:
+    if rep.over_f is False:
         raise IntegrityError(f"reduction left the family: {rep.witness}")
     out_leaves = set(out.leaf_separations())
     for k in keep:

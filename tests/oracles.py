@@ -381,7 +381,7 @@ def validate(self, family=None) -> StreeReport:
                 break
         if not order_ok:
             break
-    return StreeReport(True, over, irred, tight, order_ok, witness)
+    return StreeReport(over, irred, tight, order_ok, witness)
 
 
 def isomorphism_respects_order(source, target, mapping):

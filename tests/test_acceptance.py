@@ -139,7 +139,7 @@ def test_criterion_1_tripod_census_and_classification():
             assert set(lit) == set(enum)
             assert len(lit) == expected
 
-        res = canonical.canonical_nested_set(S, tangles, CAPS)
+        res = canonical.canonical_nested_set(S, tangles)
         assert orient.undistinguished_pair(S, res.nested.members, tangles) is None
         assert len(res.nested.members) == 3
 
@@ -400,7 +400,7 @@ def _good_live_assert_suite():
     on violation; run it across instances and count clean runs."""
     runs = 0
     for name, S, profs in corpus():
-        res = canonical.good_nested_set(S, profs, CAPS)
+        res = canonical.good_nested_set(S, profs)
         assert res.nested.members is not None
         runs += 1
     return runs
@@ -451,7 +451,7 @@ def test_criterion_4_construction_post_checks():
         t0 = time.monotonic()
         n = 0
         for name, S, profs in corpus():
-            res = canonical.canonical_nested_set(S, profs, CAPS)
+            res = canonical.canonical_nested_set(S, profs)
             for rec in res.records:
                 # distinguisher chosen for P stays closely related to P
                 assert refine.closely_related(S, rec.s_p, rec.profile), name
@@ -464,7 +464,7 @@ def test_criterion_4_construction_post_checks():
                 )
                 is None
             ), name
-            g = canonical.good_nested_set(S, profs, CAPS)
+            g = canonical.good_nested_set(S, profs)
             assert (
                 orient.undistinguished_pair(S, g.nested.members, profs)
                 is None
@@ -490,8 +490,8 @@ def test_criterion_5_canonicity_orbits():
 
     with verdict(label) as info:
         t0 = time.monotonic()
-        can = lambda S_, ps: canonical.canonical_nested_set(S_, ps, CAPS)
-        good = lambda S_, ps: canonical.good_nested_set(S_, ps, CAPS)
+        can = lambda S_, ps: canonical.canonical_nested_set(S_, ps)
+        good = lambda S_, ps: canonical.good_nested_set(S_, ps)
 
         # the tripod's clique-permuting automorphisms
         S, fam, tangles = graph_instance(tripod_edges(), 3)
@@ -615,7 +615,7 @@ def test_criterion_6_refinement_end_to_end():
         t0 = time.monotonic()
         n = grew = 0
         for name, S, fam, tangles in refinement_instances():
-            base = canonical.canonical_nested_set(S, tangles, CAPS).nested
+            base = canonical.canonical_nested_set(S, tangles).nested
             out = refine.refine_treeset(S, base, fam, tangles=tangles, caps=CAPS)
             assert out.refined.members >= base.members, name
             if out.refined.members > base.members:
@@ -644,7 +644,7 @@ def build_artifacts(builder):
     """Construct an instance from scratch and serialize everything we
     ship: nested set, tree, tangles."""
     S, fam, tangles = builder()
-    res = canonical.canonical_nested_set(S, tangles, CAPS)
+    res = canonical.canonical_nested_set(S, tangles)
     parts = [canonical.serialize_nested(S, res.nested.members)]
     if res.nested.is_treeset():
         T = trees.treeset_to_stree(res.nested, CAPS)
@@ -704,10 +704,10 @@ def test_criterion_7_determinism(tmp_path):
             n += 1
         for name, S, profs in cut_profile_instances(10):
             a = canonical.serialize_nested(
-                S, canonical.canonical_nested_set(S, profs, CAPS).nested.members
+                S, canonical.canonical_nested_set(S, profs).nested.members
             )
             b = canonical.serialize_nested(
-                S, canonical.canonical_nested_set(S, profs, CAPS).nested.members
+                S, canonical.canonical_nested_set(S, profs).nested.members
             )
             assert a == b, name
             n += 1

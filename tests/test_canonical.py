@@ -34,7 +34,7 @@ def test_maximal_exclusive_frozen(u4, s4, profiles4):
 
 
 def test_canonical_four_profiles(u4, s4, profiles4):
-    res = canonical.canonical_nested_set(s4, profiles4, BIG_CAPS)
+    res = canonical.canonical_nested_set(s4, profiles4)
     assert res.nested.members == frozenset(point_separations(u4))
     assert len(res.rounds) == 1
     assert res.rounds[0]["retired"] == 4
@@ -51,7 +51,7 @@ def test_canonical_four_profiles(u4, s4, profiles4):
 
 
 def test_canonical_two_profiles_frozen(u4, s4, profiles4):
-    res = canonical.canonical_nested_set(s4, profiles4[:2], BIG_CAPS)
+    res = canonical.canonical_nested_set(s4, profiles4[:2])
     assert res.nested.members == {
         u4.canon(u4.mask_of(["a"])),
         u4.canon(u4.mask_of(["b"])),
@@ -60,7 +60,7 @@ def test_canonical_two_profiles_frozen(u4, s4, profiles4):
 
 def test_canonical_single_profile(u4, s4, profiles4):
     # one profile, no pairs to distinguish: the empty set already does it
-    res = canonical.canonical_nested_set(s4, profiles4[:1], BIG_CAPS)
+    res = canonical.canonical_nested_set(s4, profiles4[:1])
     assert res.nested.members == frozenset()
     assert res.rounds == ()
 
@@ -71,25 +71,25 @@ def test_canonical_rejects_non_profiles(u4, s4):
     O.discard(s)
     O.add(u4.invert(s))  # consistent but not a profile
     with pytest.raises(InputError):
-        canonical.canonical_nested_set(s4, [frozenset(O)], BIG_CAPS)
+        canonical.canonical_nested_set(s4, [frozenset(O)])
     with pytest.raises(InputError):
-        canonical.canonical_nested_set(s4, [], BIG_CAPS)
+        canonical.canonical_nested_set(s4, [])
 
 
 def test_canonical_rejects_duplicate_profiles(s4, profiles4):
     with pytest.raises(InputError):
-        canonical.canonical_nested_set(s4, [profiles4[0], profiles4[0]], BIG_CAPS)
+        canonical.canonical_nested_set(s4, [profiles4[0], profiles4[0]])
 
 
 def test_profiles_live_at_their_separations(u4, s4, profiles4):
-    res = canonical.canonical_nested_set(s4, profiles4, BIG_CAPS)
+    res = canonical.canonical_nested_set(s4, profiles4)
     for rec in res.records:
         node = trees.lives_at(s4, rec.profile, res.nested)
         assert rec.s_p in node
 
 
 def test_good_nested_set_matches(u4, s4, profiles4):
-    res = canonical.good_nested_set(s4, profiles4, BIG_CAPS)
+    res = canonical.good_nested_set(s4, profiles4)
     assert res.nested.members == frozenset(point_separations(u4))
     for rec in res.records:
         assert refine.good(s4, rec.r_p, profiles4)
@@ -106,7 +106,7 @@ def test_find_well_distinguisher(u4, s4, profiles4):
 def test_inessential_closeness_on_tripod(tripod):
     G, S, fam = tripod
     tangles = orient.enumerate_tangles(S, fam, BIG_CAPS)
-    res = canonical.canonical_nested_set(S, tangles, BIG_CAPS)
+    res = canonical.canonical_nested_set(S, tangles)
     assert oracles.inessential_closeness_violation(
         S, res.nested, tangles, BIG_CAPS
     ) is None
@@ -142,14 +142,14 @@ def test_isomorphism_validation(u4, s4):
 
 def test_canonical_commutes_with_swap(u4, s4, profiles4):
     iso = swap_iso(u4, s4)
-    builder = lambda S, ps: canonical.canonical_nested_set(S, ps, BIG_CAPS)
+    builder = lambda S, ps: canonical.canonical_nested_set(S, ps)
     assert canonical.check_canonicity(builder, iso, profiles4[:2])
     assert canonical.check_canonicity(builder, iso, profiles4)
 
 
 def test_good_commutes_with_lattice_swap(u4, s4, profiles4):
     iso = swap_iso(u4, s4)
-    builder = lambda S, ps: canonical.good_nested_set(S, ps, BIG_CAPS)
+    builder = lambda S, ps: canonical.good_nested_set(S, ps)
     assert canonical.check_canonicity(builder, iso, profiles4, require_lattice=True)
 
 
@@ -177,7 +177,7 @@ def test_canonicity_on_random_cut_swap():
         profs = orient.enumerate_tangles(S, fam, BIG_CAPS)
         if len(profs) < 2:
             continue
-        builder = lambda S_, ps: canonical.canonical_nested_set(S_, ps, BIG_CAPS)
+        builder = lambda S_, ps: canonical.canonical_nested_set(S_, ps)
         assert canonical.check_canonicity(builder, iso, profs)
         hits += 1
     assert hits >= 5

@@ -1,12 +1,16 @@
 """End-to-end command-line runs, in process."""
 
+import ast
 import json
 import random
 from itertools import combinations
+from pathlib import Path
 
 import pytest
 
-from tangletree.cli import main
+from tangletree.cli import build_parser, main
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "tangletree"
 
 
 @pytest.fixture
@@ -228,6 +232,14 @@ def test_duality_dot(capsys, p3_file):
     assert out.startswith("graph stree {")
 
 
+def test_duality_dot_refuses_a_tangle(capsys, p3_file):
+    # a tangle has no DOT form; stdout must not carry text a DOT reader chokes on
+    code, out, err = run(capsys, "duality", p3_file, "--k", "2", "--format", "dot")
+    assert code == 2
+    assert out == ""
+    assert err == "input error: the answer is a tangle; no dot output\n"
+
+
 # -- tree of tangles --
 
 
@@ -290,6 +302,13 @@ def test_tree_of_tangles_good_flag(capsys, path4):
     assert len(payload["nested"]) >= 2
 
 
+def test_tree_of_tangles_refine_and_good_exclude_each_other(capsys, path4):
+    with pytest.raises(SystemExit) as exc:
+        main(["tree-of-tangles", path4, "--k", "2", "--good", "--refine"])
+    assert exc.value.code == 2
+    assert "not allowed with argument" in capsys.readouterr().err
+
+
 def test_tree_of_tangles_dot(capsys, path4):
     code, out, _ = run(
         capsys, "tree-of-tangles", path4, "--k", "2", "--format", "dot"
@@ -333,6 +352,79 @@ def test_jobs_do_not_change_output(capsys, path4):
     _, out1, _ = run(capsys, "check", path4, "--k", "2", "--jobs", "1")
     _, out2, _ = run(capsys, "check", path4, "--k", "2", "--jobs", "4")
     assert out1 == out2
+
+
+# -- the option surface: each command accepts only the flags it reads --
+
+KEPT = {
+    "check": {"--seed": "4"},
+    "tangles": {"--format": "json"},
+    "duality": {"--format": "dot"},
+    "tree-of-tangles": {"--format": "dot", "--trace": None, "--refine": None},
+}
+REMOVED = [
+    ("check", "--format", "json"),
+    ("check", "--trace", None),
+    ("tangles", "--seed", "1"),
+    ("tangles", "--trace", None),
+    ("duality", "--seed", "1"),
+    ("duality", "--trace", None),
+    ("tree-of-tangles", "--seed", "1"),
+]
+
+
+def _argv(command, flags):
+    argv = [command, "in.txt"]
+    for flag, value in flags.items():
+        argv += [flag] if value is None else [flag, value]
+    return argv
+
+
+@pytest.mark.parametrize("command", sorted(KEPT))
+def test_each_command_parses_exactly_its_own_flags(command):
+    flags = {"--k": "2", "--family": "profiles", "--max-seps": "9", "--jobs": "2"}
+    flags.update(KEPT[command])
+    args = build_parser().parse_args(_argv(command, flags))
+    dests = {f[2:].replace("-", "_") for f in flags}
+    if command == "tree-of-tangles":
+        dests.add("good")
+    assert set(vars(args)) == dests | {"command", "fn", "input"}
+    assert (args.k, args.family, args.max_seps, args.jobs) == (2, "profiles", 9, 2)
+    for flag, value in KEPT[command].items():
+        got = getattr(args, flag[2:])
+        assert got == (True if value is None else type(got)(value))
+
+
+@pytest.mark.parametrize("command, flag, value", REMOVED)
+def test_a_flag_the_command_does_not_read_is_refused(capsys, command, flag, value):
+    with pytest.raises(SystemExit) as exc:
+        build_parser().parse_args(_argv(command, {flag: value}))
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+
+
+def test_every_parameter_under_src_is_read():
+    """A function parameter its body never reads is an option nothing
+    takes.  Exempt are self and cls, and interface stubs whose body,
+    after the docstring, is a single raise."""
+    unread = []
+    for path in sorted(SRC.glob("*.py")):
+        for fn in ast.walk(ast.parse(path.read_text(), str(path))):
+            if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                continue
+            if isinstance(fn, ast.Lambda):
+                body = [fn.body]
+            else:
+                body = fn.body[ast.get_docstring(fn) is not None:]
+            if len(body) == 1 and isinstance(body[0], ast.Raise):
+                continue
+            read = {n.id for stmt in body for n in ast.walk(stmt)
+                    if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+            a = fn.args
+            for p in a.posonlyargs + a.args + a.kwonlyargs + [a.vararg, a.kwarg]:
+                if p and p.arg not in read and p.arg not in ("self", "cls"):
+                    unread.append(f"{path.name}:{fn.lineno} {p.arg}")
+    assert unread == []
 
 
 # -- malformed inputs end as input errors --

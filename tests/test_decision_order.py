@@ -121,6 +121,6 @@ def test_refinement_runs_no_tangle_search(searches, monkeypatch):
     for name in ("3xK5", "4xK4", "4xK5", "chain4xK4"):
         S, fam = _graph_case(LADDER[name], 3)
         tangles = orient.enumerate_tangles(S, fam, CAPS)
-        res = canonical.canonical_nested_set(S, tangles, CAPS)
+        res = canonical.canonical_nested_set(S, tangles)
         refine.refine_treeset(S, res.nested, fam, tangles=tangles, caps=CAPS)
     assert inside and inside == [0] * len(inside)

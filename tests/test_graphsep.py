@@ -265,7 +265,7 @@ def test_tangles_avoid_every_star(p4_graph):
 
 def test_p4_decomposition(p4_graph):
     S, fam, tangles = graphsep.graph_tangles(p4_graph, 2, caps=BIG_CAPS)
-    res = canonical.canonical_nested_set(S, tangles, BIG_CAPS)
+    res = canonical.canonical_nested_set(S, tangles)
     dec = graphsep.decomposition_export(trees.treeset_to_stree(res.nested, BIG_CAPS))
     assert sorted(dec.parts) == [("a", "b"), ("b", "c"), ("c", "d")]
     assert dec.width() == 1
@@ -292,7 +292,7 @@ def test_decomposition_needs_graph_system(s4):
 def test_tripod_decomposition_parts(tripod):
     G, S, fam = tripod
     tangles = orient.enumerate_tangles(S, fam, BIG_CAPS)
-    res = canonical.canonical_nested_set(S, tangles, BIG_CAPS)
+    res = canonical.canonical_nested_set(S, tangles)
     dec = graphsep.decomposition_export(trees.treeset_to_stree(res.nested, BIG_CAPS))
     parts = sorted(dec.parts)
     # hub part {v} plus one five-vertex part per blob
@@ -312,7 +312,7 @@ def test_vertex_isomorphism_reversal(p3_graph):
     assert iso.lattice_violation() is None
     fam = graphsep.tk_star_family(p3_graph, 2, S, BIG_CAPS)
     profs = orient.enumerate_tangles(S, fam, BIG_CAPS)
-    builder = lambda S_, ps: canonical.canonical_nested_set(S_, ps, BIG_CAPS)
+    builder = lambda S_, ps: canonical.canonical_nested_set(S_, ps)
     assert canonical.check_canonicity(builder, iso, profs)
 
 

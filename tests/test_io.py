@@ -107,6 +107,31 @@ def test_a_pair_weighted_twice_is_refused_by_both_keys():
         )
 
 
+def test_int_ground_points_are_weighted_by_the_names_they_print():
+    # keys are strings, so "1,2" names the int points 1 and 2
+    U = io.load_universe(
+        {
+            "type": "bipartition",
+            "ground_set": [1, 2, 3],
+            "order_weights": {"1,2": 1, "3, 2": 4},
+            "separations": "all",
+        }
+    )
+    assert U.order(U.mask_of([1])) == 1
+    assert U.order(U.mask_of([3])) == 4
+    assert U.order(U.mask_of([2])) == 5
+    # with a weight that names a point, or one that does not
+    for key in ("1,3", "1,4"):
+        with pytest.raises(InputError, match="print alike"):
+            io.load_universe(
+                {
+                    "type": "bipartition",
+                    "ground_set": [1, "1", 3],
+                    "order_weights": {key: 1},
+                }
+            )
+
+
 def test_weighted_ground_over_the_cap_is_refused_before_any_cut_is_made():
     # a weight on the last of 40 points: the cap is checked before the
     # cut is tabulated, which would take 2^39 entries
@@ -227,7 +252,7 @@ def test_decomposition_dot():
     S, fam, tangles = graphsep.graph_tangles(g, 2, caps=BIG_CAPS)
     from tangletree import canonical
 
-    res = canonical.canonical_nested_set(S, tangles, BIG_CAPS)
+    res = canonical.canonical_nested_set(S, tangles)
     dec = graphsep.decomposition_export(trees.treeset_to_stree(res.nested, BIG_CAPS))
     dot = io.decomposition_to_dot(dec)
     assert dot.count(" -- ") == 2

@@ -664,8 +664,8 @@ def test_the_profile_pipeline_keeps_no_frozensets_and_no_join_rows():
     fam = orient.profile_star_family(S)
     tangles = orient.enumerate_tangles(S, fam, BIG_CAPS)
     assert len(tangles) >= 2 and len(fam) > 0
-    canonical.canonical_nested_set(S, tangles, BIG_CAPS)
-    canonical.good_nested_set(S, tangles, BIG_CAPS)
+    canonical.canonical_nested_set(S, tangles)
+    canonical.good_nested_set(S, tangles)
     assert "stars" not in vars(fam)
     assert "_join_rows" not in vars(S)
 

@@ -109,7 +109,7 @@ def tripod_inessential(tripod):
 
     G, S, fam = tripod
     tangles = orient.enumerate_tangles(S, fam, BIG_CAPS)
-    res = canonical.canonical_nested_set(S, tangles, BIG_CAPS)
+    res = canonical.canonical_nested_set(S, tangles)
     split = trees.essential_nodes(S, res.nested, tangles, BIG_CAPS)
     return S, fam, tangles, res.nested, split
 
@@ -202,7 +202,7 @@ def test_refine_treeset_strict_growth():
 
     S, fam = randomgen.random_duality_instance(248)
     tangles = orient.enumerate_tangles(S, fam, BIG_CAPS)
-    res = canonical.canonical_nested_set(S, tangles, BIG_CAPS)
+    res = canonical.canonical_nested_set(S, tangles)
     out = refine.refine_treeset(S, res.nested, fam, tangles=tangles, caps=BIG_CAPS)
     assert len(res.nested.members) == 3
     assert len(out.refined.members) == 5
@@ -243,7 +243,7 @@ def test_refine_treeset_all_essential_is_identity(p3):
     from tangletree import canonical
 
     tangles = orient.enumerate_tangles(S, fam, BIG_CAPS)
-    res = canonical.canonical_nested_set(S, tangles, BIG_CAPS)
+    res = canonical.canonical_nested_set(S, tangles)
     out = refine.refine_treeset(S, res.nested, fam, tangles=tangles, caps=BIG_CAPS)
     assert out.refined.members == res.nested.members
     assert not out.inessential

@@ -84,7 +84,7 @@ def test_stree_roundtrip(u4, s4, n2):
     assert T.n == 3
     assert len(T.edges) == 2
     assert {u4.canon(x) for x in T.alpha.values()} == set(n2.members)
-    assert T.validate().all_good(need_family=False)
+    assert T.validate().all_good()
     back = oracles.stree_to_treeset(T)
     assert back.members == n2.members
 
