@@ -42,19 +42,20 @@ def _checked_profiles(S, profiles):
 
 
 @dataclass(frozen=True)
-class ExclusiveRecord:
-    """One retired profile: its exclusive maxima and their infimum."""
+class Record:
+    """One retired profile: the candidates it owned in its round and the
+    separation chosen from them (the infimum of its exclusive maxima, or
+    the unique maximum of its exclusive well-distinguishers)."""
 
     profile: frozenset
-    m_set: tuple
-    s_p: object
+    candidates: tuple
+    chosen: object
     round: int
 
 
 @dataclass
 class CanonicalResult:
-    """What either construction returns; the records are ExclusiveRecords
-    from canonical_nested_set and GoodRecords from good_nested_set."""
+    """What either construction returns."""
 
     nested: NestedSet
     records: tuple
@@ -62,15 +63,26 @@ class CanonicalResult:
     profiles: tuple
 
 
-def canonical_nested_set(S, profiles) -> CanonicalResult:
-    """Distinguish the profiles by infima of exclusive maxima.
+def standing_hypothesis_violation(S, M, profiles):
+    """First (separation, P, Q) where two profiles disagree on a member
+    of M; the constructions need all profiles to agree there."""
+    plist = list(profiles)
+    for m in sorted(M):
+        seen = None
+        for P in plist:
+            o = orient.orientation_of(S, m, P)
+            if seen is None:
+                seen = (o, P)
+            elif o != seen[0]:
+                return (m, seen[1], P)
+    return None
 
-    Rounds retire every profile that currently owns an exclusive maximal
-    member; the next round works inside the subsystem nested with what
-    was already built.  The data consulted (membership, order relation,
-    guarded infima) is isomorphism-invariant, which is what makes the
-    output canonical.
-    """
+
+def _distinguish(S, profiles, pick) -> CanonicalResult:
+    """The round loop of both constructions.  Each round works in S_i,
+    the subsystem nested with what was already built, where pick(S_i, P,
+    remaining) returns P's candidates and the separation chosen from
+    them, or None if P survives the round."""
     U = S.universe
     plist = _checked_profiles(S, profiles)
     duality.preconditions(S)
@@ -85,39 +97,33 @@ def canonical_nested_set(S, profiles) -> CanonicalResult:
         rnd += 1
         if rnd > len(plist):
             raise IntegrityError("construction exceeded its round bound")
-        msets = [(P, maximal_exclusive(S_i, P, remaining)) for P in remaining]
-        retiring = [(P, m) for P, m in msets if m]
-        if not retiring:
-            raise IntegrityError(
-                "no profile owns an exclusive maximal member this round"
-            )
-        new_seps = set()
-        for P, m in retiring:
-            restricted = frozenset(x for x in S_i.oriented if x in P)
-            witnesses = [refine.CloseWitness(x, restricted) for x in m[1:]]
-            try:
-                s_p = refine.guarded_inf(S_i, m[0], witnesses)
-            except InputError as e:
-                raise IntegrityError(f"infimum preconditions broke: {e}")
-            if not exclusive(S_i, s_p, remaining):
-                raise IntegrityError("infimum lost exclusivity")
-            bad = refine.closely_related_violation(S, s_p, P)
-            if bad is not None:
-                raise IntegrityError(
-                    f"infimum is not closely related to its profile: {bad}"
-                )
-            records.append(ExclusiveRecord(P, m, s_p, rnd))
-            new_seps.add(U.canon(s_p))
+        bad = standing_hypothesis_violation(S, accumulated, remaining)
+        if bad is not None:
+            raise IntegrityError(f"standing hypothesis broke: {bad}")
+        retired, survivors = [], []
+        for P in remaining:
+            picked = pick(S_i, P, remaining)
+            if picked is None:
+                survivors.append(P)
+            else:
+                retired.append(Record(P, *picked, rnd))
+        if not retired:
+            raise IntegrityError("no profile retires this round")
+        new_seps = {U.canon(rec.chosen) for rec in retired}
+        bad = S.nestedness_violation(accumulated | new_seps)
+        if bad is not None:
+            raise IntegrityError(f"new separations cross: {bad}")
         rounds.append(
             {
                 "round": rnd,
                 "system_size": len(S_i),
-                "retired": len(retiring),
+                "retired": len(retired),
                 "added": sorted(U.format_pair(s) for s in new_seps),
             }
         )
+        records += retired
         accumulated |= new_seps
-        remaining = [P for P, m in msets if not m]
+        remaining = survivors
         S_i = S_i.restrict_nested(new_seps)
         if S_i.submodular_violation() is not None:
             raise IntegrityError("restriction destroyed submodularity")
@@ -126,23 +132,52 @@ def canonical_nested_set(S, profiles) -> CanonicalResult:
         nested = NestedSet(S, accumulated)
     except InputError as e:
         raise IntegrityError(f"construction produced crossing separations: {e}")
-
-    if len(plist) > 1:
-        pair = orient.undistinguished_pair(S, nested.members, plist)
-        if pair is not None:
-            raise IntegrityError("output fails to distinguish the profiles")
-    for rec in records:
-        home = trees.lives_at(S, rec.profile, nested)
-        if rec.s_p not in home:
-            raise IntegrityError(
-                "a profile does not live at the node of its separation"
-            )
+    if orient.undistinguished_pair(S, nested.members, plist) is not None:
+        raise IntegrityError("output fails to distinguish the profiles")
     return CanonicalResult(
         nested=nested,
         records=tuple(records),
         rounds=tuple(rounds),
         profiles=tuple(plist),
     )
+
+
+def canonical_nested_set(S, profiles) -> CanonicalResult:
+    """Distinguish the profiles by infima of exclusive maxima.
+
+    Each round retires every profile that owns an exclusive maximal
+    member, at the guarded infimum of those maxima.  The data consulted
+    (membership, order relation, guarded infima) is isomorphism-invariant,
+    which is what makes the output canonical.
+    """
+
+    def pick(S_i, P, remaining):
+        m = maximal_exclusive(S_i, P, remaining)
+        if not m:
+            return None
+        restricted = frozenset(x for x in S_i.oriented if x in P)
+        witnesses = [refine.CloseWitness(x, restricted) for x in m[1:]]
+        try:
+            s_p = refine.guarded_inf(S_i, m[0], witnesses)
+        except InputError as e:
+            raise IntegrityError(f"infimum preconditions broke: {e}")
+        if not exclusive(S_i, s_p, remaining):
+            raise IntegrityError("infimum lost exclusivity")
+        bad = refine.closely_related_violation(S, s_p, P)
+        if bad is not None:
+            raise IntegrityError(
+                f"infimum is not closely related to its profile: {bad}"
+            )
+        return m, s_p
+
+    res = _distinguish(S, profiles, pick)
+    for rec in res.records:
+        home = trees.lives_at(S, rec.profile, res.nested)
+        if rec.chosen not in home:
+            raise IntegrityError(
+                "a profile does not live at the node of its separation"
+            )
+    return res
 
 
 @dataclass
@@ -166,29 +201,6 @@ def refined_tree_of_tangles(S, family, tangles=None, caps=DEFAULT_CAPS) -> Refin
 # -- good separations --
 
 
-def standing_hypothesis_violation(S, M, profiles):
-    """First (separation, P, Q) where two profiles disagree on a member
-    of M; the constructions need all profiles to agree there."""
-    plist = list(profiles)
-    for m in sorted(M):
-        seen = None
-        for P in plist:
-            o = orient.orientation_of(S, m, P)
-            if seen is None:
-                seen = (o, P)
-            elif o != seen[0]:
-                return (m, seen[1], P)
-    return None
-
-
-@dataclass(frozen=True)
-class GoodRecord:
-    profile: frozenset
-    e_set: tuple
-    r_p: object
-    round: int
-
-
 def e_set(S, P, profiles, S_M):
     """Members of P in S_M that are exclusive and distinguish P well
     from another profile, in S_M.oriented (value) order."""
@@ -205,77 +217,26 @@ def e_set(S, P, profiles, S_M):
 
 
 def good_nested_set(S, profiles) -> CanonicalResult:
-    """Distinguish the profiles by good separations only.
+    """Distinguish the profiles by good separations only: each round
+    retires every profile that owns exclusive well-distinguishing
+    members, at the unique maximal one."""
 
-    Each round works in the subsystem nested with what is already built,
-    computes every profile's exclusive well-distinguishing members, and
-    retires those profiles at their unique maximal such member.
-    """
-    U = S.universe
-    plist = _checked_profiles(S, profiles)
-    duality.preconditions(S)
+    def pick(S_i, P, remaining):
+        ep = e_set(S, P, remaining, S_i)
+        if not ep:
+            return None
+        mx = orient.maximal_members(S_i, ep)
+        if len(mx) != 1:
+            raise IntegrityError(
+                "exclusive well-distinguishers admit no unique maximum"
+            )
+        return ep, mx[0]
 
-    accumulated = set()
-    records = []
-    rounds = []
-    remaining = list(plist)
-    rnd = 0
-    while len(remaining) > 1:
-        rnd += 1
-        if rnd > len(plist):
-            raise IntegrityError("recursion exceeded its round bound")
-        S_M = S.restrict_nested(accumulated)
-        bad = standing_hypothesis_violation(S, accumulated, remaining)
-        if bad is not None:
-            raise IntegrityError(f"standing hypothesis broke: {bad}")
-        new_seps = set()
-        survivors = []
-        for P in remaining:
-            ep = e_set(S, P, remaining, S_M)
-            if not ep:
-                survivors.append(P)
-                continue
-            mx = orient.maximal_members(S_M, ep)
-            if len(mx) != 1:
-                raise IntegrityError(
-                    "exclusive well-distinguishers admit no unique maximum"
-                )
-            r_p = mx[0]
-            records.append(GoodRecord(P, ep, r_p, rnd))
-            new_seps.add(U.canon(r_p))
-        if not new_seps:
-            raise IntegrityError("no profile exposes a good separation")
-        bad = S.nestedness_violation(accumulated | new_seps)
-        if bad is not None:
-            raise IntegrityError(f"new separations cross: {bad}")
-        rounds.append(
-            {
-                "round": rnd,
-                "system_size": len(S_M),
-                "retired": len(remaining) - len(survivors),
-                "added": sorted(U.format_pair(s) for s in new_seps),
-            }
-        )
-        accumulated |= new_seps
-        remaining = survivors
-
-    try:
-        nested = NestedSet(S, accumulated)
-    except InputError as e:
-        raise IntegrityError(f"recursion produced crossing separations: {e}")
-    if len(plist) > 1:
-        pair = orient.undistinguished_pair(S, nested.members, plist)
-        if pair is not None:
-            raise IntegrityError("output fails to distinguish the profiles")
-    for s in nested.sorted_members:
-        if not refine.good(S, s, plist):
+    res = _distinguish(S, profiles, pick)
+    for s in res.nested.sorted_members:
+        if not refine.good(S, s, res.profiles):
             raise IntegrityError("output contains a separation that is not good")
-    return CanonicalResult(
-        nested=nested,
-        records=tuple(records),
-        rounds=tuple(rounds),
-        profiles=tuple(plist),
-    )
+    return res
 
 
 # -- canonicity --

@@ -189,6 +189,8 @@ def cmd_duality(args):
 
 
 def cmd_tree_of_tangles(args):
+    if args.trace and args.format == "dot":
+        raise InputError("the trace has no dot output")
     caps = _caps(args)
     S, fam, G = _load(args, caps)
     U = S.universe

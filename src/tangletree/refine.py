@@ -247,7 +247,6 @@ class RefineOutcome:
     tangles: tuple
     essential: tuple
     inessential: tuple
-    star_trees: tuple  # (star, STree) pairs, one per refined node
     node_kinds: tuple  # (node, "tangle-home" | "family-star")
     at_most_one_inessential: bool
 
@@ -265,11 +264,9 @@ def refine_treeset(S, nested: NestedSet, family, tangles=None, caps=DEFAULT_CAPS
         raise DomainError("nested set does not distinguish all tangles")
 
     split = trees.essential_nodes(S, nested, tangles, caps)
-    star_trees = []
     members = set(nested.members)
     for sig in split.inessential:
         T = refine_star(S, sig, family, tangles=tangles, caps=caps)
-        star_trees.append((sig, T))
         members.update(U.canon(lab) for lab in T.alpha.values())
 
     try:
@@ -294,7 +291,6 @@ def refine_treeset(S, nested: NestedSet, family, tangles=None, caps=DEFAULT_CAPS
         tangles=tuple(tangles),
         essential=split.essential,
         inessential=split.inessential,
-        star_trees=tuple(star_trees),
         node_kinds=tuple(kinds),
         at_most_one_inessential=len(split.inessential) <= 1,
     )

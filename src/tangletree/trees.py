@@ -71,10 +71,8 @@ class NestedSet:
         for s in self.sorted_members:
             if s == U.invert(s):
                 return ("degenerate", s)
-        for x in sub.oriented:
-            if sub.classify(x).trivial:
-                return ("trivial", U.canon(x))
-        return None
+        trivial = sub.trivial_members()
+        return ("trivial", U.canon(trivial[0])) if trivial else None
 
     def is_treeset(self) -> bool:
         return self.treeset_violation() is None

@@ -454,10 +454,10 @@ def test_criterion_4_construction_post_checks():
             res = canonical.canonical_nested_set(S, profs)
             for rec in res.records:
                 # distinguisher chosen for P stays closely related to P
-                assert refine.closely_related(S, rec.s_p, rec.profile), name
+                assert refine.closely_related(S, rec.chosen, rec.profile), name
                 # and P lives at the node carrying it
                 node = trees.lives_at(S, rec.profile, res.nested)
-                assert rec.s_p in node, name
+                assert rec.chosen in node, name
             assert (
                 oracles.inessential_closeness_violation(
                     S, res.nested, profs, CAPS

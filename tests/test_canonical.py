@@ -4,8 +4,8 @@ import random
 
 import pytest
 
-from tangletree import canonical, graphsep, orient, randomgen, refine, trees
-from tangletree.core import BipartitionUniverse, SeparationSystem
+from tangletree import canonical, graphsep, io, orient, randomgen, refine, trees
+from tangletree.core import BipartitionUniverse, SeparationSystem, order_filtered_system
 from tangletree.errors import InputError, IntegrityError
 
 import oracles
@@ -41,8 +41,8 @@ def test_canonical_four_profiles(u4, s4, profiles4):
     assert len(res.records) == 4
     for rec in res.records:
         assert rec.round == 1
-        assert rec.s_p in rec.profile
-        assert refine.closely_related(s4, rec.s_p, rec.profile)
+        assert rec.chosen in rec.profile
+        assert refine.closely_related(s4, rec.chosen, rec.profile)
     # every profile pair is distinguished
     assert (
         orient.undistinguished_pair(s4, res.nested.sorted_members, profiles4)
@@ -85,14 +85,66 @@ def test_profiles_live_at_their_separations(u4, s4, profiles4):
     res = canonical.canonical_nested_set(s4, profiles4)
     for rec in res.records:
         node = trees.lives_at(s4, rec.profile, res.nested)
-        assert rec.s_p in node
+        assert rec.chosen in node
 
 
 def test_good_nested_set_matches(u4, s4, profiles4):
     res = canonical.good_nested_set(s4, profiles4)
     assert res.nested.members == frozenset(point_separations(u4))
     for rec in res.records:
-        assert refine.good(s4, rec.r_p, profiles4)
+        assert refine.good(s4, rec.chosen, profiles4)
+
+
+# Five points: two heavy pairs {b,c} and {d,e}, and a tied most to d.  At
+# k = 7 it has five tangles, and both constructions need two rounds.
+CUT5 = {
+    "type": "bipartition",
+    "ground_set": list("abcde"),
+    "order_weights": {"a,b": 1, "a,c": 1, "a,d": 3, "b,c": 5, "b,d": 1, "d,e": 5},
+    "separations": "all",
+}
+ROUNDS5 = (
+    {"round": 1, "system_size": 6, "retired": 3,
+     "added": ["{a,b,c,d} | {e}", "{a} | {b,c,d,e}", "{c} | {a,b,d,e}"]},
+    {"round": 2, "system_size": 6, "retired": 2,
+     "added": ["{a,b,c} | {d,e}", "{b,c} | {a,d,e}"]},
+)
+# (profile, candidates, chosen, round), each oriented member named by
+# its side; the records differ only in the candidates of round 2
+RECORDS5 = {
+    "canonical_nested_set": [
+        (("", "a", "c", "bc", "abc", "abcd"), ("abcd",), "abcd", 1),
+        (("", "a", "e", "de", "ade", "abde"), ("abde",), "abde", 1),
+        (("", "c", "bc", "e", "de", "bcde"), ("bcde",), "bcde", 1),
+        (("", "a", "c", "bc", "abc", "e"), ("abc",), "abc", 2),
+        (("", "a", "c", "e", "de", "ade"), ("ade",), "ade", 2),
+    ],
+    "good_nested_set": [
+        (("", "a", "c", "bc", "abc", "abcd"), ("abcd",), "abcd", 1),
+        (("", "a", "e", "de", "ade", "abde"), ("abde",), "abde", 1),
+        (("", "c", "bc", "e", "de", "bcde"), ("bcde",), "bcde", 1),
+        (("", "a", "c", "bc", "abc", "e"), ("bc", "abc"), "abc", 2),
+        (("", "a", "c", "e", "de", "ade"), ("de", "ade"), "ade", 2),
+    ],
+}
+
+
+@pytest.mark.parametrize("build", sorted(RECORDS5))
+def test_rounds_and_records_are_pinned(build):
+    U = io.load_universe(CUT5)
+    S = order_filtered_system(U, 7, within=io.load_system(CUT5, U))
+    tangles = orient.enumerate_tangles(S, orient.profile_star_family(S), BIG_CAPS)
+    res = getattr(canonical, build)(S, tangles)
+    assert res.rounds == ROUNDS5
+
+    def side(points):
+        return U.mask_of(list(points))
+
+    got = [(rec.profile, rec.candidates, rec.chosen, rec.round) for rec in res.records]
+    assert got == [
+        (frozenset(map(side, P)), tuple(map(side, C)), side(c), rnd)
+        for P, C, c, rnd in RECORDS5[build]
+    ]
 
 
 def test_find_well_distinguisher(u4, s4, profiles4):

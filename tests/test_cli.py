@@ -318,6 +318,16 @@ def test_tree_of_tangles_dot(capsys, path4):
     assert "{a,b}" in out
 
 
+def test_tree_of_tangles_dot_refuses_the_trace(capsys, path4):
+    # DOT has no place for the trace; it must not be dropped silently
+    code, out, err = run(
+        capsys, "tree-of-tangles", path4, "--k", "2", "--format", "dot", "--trace"
+    )
+    assert code == 2
+    assert out == ""
+    assert err == "input error: the trace has no dot output\n"
+
+
 def test_bipartition_profiles(capsys, bip_file):
     code, out, _ = run(
         capsys,
