@@ -1,6 +1,7 @@
 """Universe and separation-system basics on the four-point fixture."""
 
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -319,6 +320,147 @@ def test_table_name_lookup():
     assert U.name_of(2) == "hi"
     with pytest.raises(InputError):
         U.id_of("nope")
+
+
+# each load-time refusal of a table, with its exact message, in the order
+# the checks run; De Morgan has no message, the order reversal implies it
+TABLE_REFUSALS = [
+    (dict(n=0, involution=[], leq_pairs=[]),
+     "table universe needs at least one element"),
+    (dict(n=2, involution=[1, 0], leq_pairs=[], names=["a"]),
+     "names list does not match element count"),
+    (dict(n=3, involution=[0, 0, 1], leq_pairs=[]),
+     "involution is not a permutation of the elements"),
+    (dict(n=3, involution=[1, 2, 0], leq_pairs=[]),
+     "involution is not self-inverse"),
+    (dict(n=2, involution=[1, 0], leq_pairs=[(0, 2)]),
+     "leq pair (0,2) out of range"),
+    # 3 <= 2 <= 1 <= 3: the lowest element of the cycle, then the next
+    (dict(n=4, involution=[3, 2, 1, 0], leq_pairs=[(0, 1), (3, 2), (2, 1), (1, 3)]),
+     "leq not antisymmetric on (1,2)"),
+    # two minimal and two maximal elements: the meets are checked first
+    (dict(n=4, involution=[3, 2, 1, 0], leq_pairs=[(0, 2), (0, 3), (1, 2), (1, 3)]),
+     "elements 0 and 1 have no meet: not a lattice"),
+    (dict(n=3, involution=[0, 1, 2], leq_pairs=[(0, 1), (0, 2)]),
+     "elements 1 and 2 have no join: not a lattice"),
+    (dict(order=[0.0, 1, 1, 0], **CHAIN4),
+     "order values must be int or Fraction, got float 0.0"),
+    (dict(order=["x", 1, 1, 0], **CHAIN4),
+     "order values must be int or Fraction, got 'x'"),
+    (dict(order=[0, -1, -1, 0], **CHAIN4),
+     "order values must be non-negative, got -1"),
+    (dict(order=[0, 1, 1], **CHAIN4),
+     "order table does not match element count"),
+    (dict(order=[0, 1, 2, 0], **CHAIN4),
+     "order not invariant under involution at element 1"),
+    (dict(n=4, involution=[1, 0, 3, 2], leq_pairs=[(0, 1), (1, 2), (2, 3)]),
+     "involution not order-reversing on (0,2)"),
+]
+
+
+@pytest.mark.parametrize("table, message", TABLE_REFUSALS, ids=[m for _, m in TABLE_REFUSALS])
+def test_table_refusal_messages(table, message):
+    with pytest.raises(InputError) as exc:
+        TablePoset(**table)
+    assert str(exc.value) == message
+
+
+def _random_table(rng):
+    """A random relation on at most 7 elements with an involution; half
+    of them made symmetric under it, so that many load."""
+    n = rng.randint(1, 7)
+    if rng.random() < 0.1:
+        inv = list(range(n))
+        rng.shuffle(inv)  # most often not self-inverse
+    else:
+        inv = list(range(n))
+        free = list(range(n))
+        rng.shuffle(free)
+        while len(free) >= 2 and rng.random() < 0.8:
+            a, b = free.pop(), free.pop()
+            inv[a], inv[b] = b, a
+    if rng.random() < 0.5:
+        # a random linear order, with bottom and top when n allows
+        rank = list(range(n))
+        rng.shuffle(rank)
+        pairs = [(i, j) for i in range(n) for j in range(n)
+                 if rank[i] < rank[j] and rng.random() < 0.4]
+    else:
+        pairs = [(rng.randrange(n), rng.randrange(n))
+                 for _ in range(rng.randint(0, 2 * n))]
+    if rng.random() < 0.5 and sorted(inv) == list(range(n)):
+        pairs += [(inv[j], inv[i]) for i, j in pairs]
+    order = None
+    if rng.random() < 0.5:
+        order = [rng.randint(0, 3) for _ in range(n)]
+        if rng.random() < 0.8:
+            order = [max(order[i], order[inv[i]]) for i in range(n)]
+    return n, inv, pairs, order
+
+
+def _literal_closure(n, pairs):
+    leq = {(i, i) for i in range(n)} | set(pairs)
+    while True:
+        more = {(a, d) for a, b in leq for c, d in leq if b == c} - leq
+        if not more:
+            return leq
+        leq |= more
+
+
+def _has_bound(leq, n, i, j, below):
+    """Whether i and j have a greatest common lower bound (below) or a
+    least common upper bound, by the literal relation."""
+    if below:
+        common = [z for z in range(n) if (z, i) in leq and (z, j) in leq]
+        return any(all((z, g) in leq for z in common) for g in common)
+    common = [z for z in range(n) if (i, z) in leq and (j, z) in leq]
+    return any(all((g, z) in leq for z in common) for g in common)
+
+
+def test_table_refusals_name_a_broken_law_and_accepted_tables_keep_them():
+    rng = random.Random(30)
+    seen = set()
+    for _ in range(600):
+        n, inv, pairs, order = _random_table(rng)
+        try:
+            U = TablePoset(n, inv, pairs, order=order)
+        except InputError as e:
+            msg = str(e)
+            leq = _literal_closure(n, pairs)
+            nums = [int(t) for t in re.findall(r"\d+", msg)]
+            if msg == "involution is not self-inverse":
+                seen.add("self-inverse")
+                assert any(inv[inv[i]] != i for i in range(n))
+            elif msg.startswith("leq not antisymmetric on"):
+                seen.add("antisymmetric")
+                i, j = nums
+                assert i != j and (i, j) in leq and (j, i) in leq
+            elif msg.endswith("have no meet: not a lattice"):
+                seen.add("meet")
+                assert not _has_bound(leq, n, *nums, below=True)
+            elif msg.endswith("have no join: not a lattice"):
+                seen.add("join")
+                assert not _has_bound(leq, n, *nums, below=False)
+            elif msg.startswith("order not invariant under involution at"):
+                seen.add("order invariant")
+                (i,) = nums
+                assert order[i] != order[inv[i]]
+            elif msg.startswith("involution not order-reversing on"):
+                seen.add("order-reversing")
+                i, j = nums
+                assert (i, j) in leq and (inv[j], inv[i]) not in leq
+            else:
+                raise AssertionError(f"unexpected refusal: {msg}")
+            continue
+        seen.add("loaded")
+        verify_universe_laws(U)
+        leq = {(i, j) for i in range(n) for j in range(n) if U.leq(i, j)}
+        assert leq == _literal_closure(n, pairs)
+    # every law the generator can break was broken, and some tables loaded
+    assert seen == {
+        "loaded", "self-inverse", "antisymmetric", "meet", "join",
+        "order invariant", "order-reversing",
+    }
 
 
 # -- nested restriction --
