@@ -68,9 +68,6 @@ def main():
     ap.add_argument("--start-seed", type=int, default=0)
     args = ap.parse_args()
 
-    build_canonical = lambda S, ps: canonical.canonical_nested_set(S, ps)
-    build_good = lambda S, ps: canonical.good_nested_set(S, ps)
-
     t0 = time.monotonic()
     done = 0
     seed = args.start_seed
@@ -85,11 +82,11 @@ def main():
         if inst is None:
             continue
         S, iso, profs = inst
-        ok_can = canonical.check_canonicity(build_canonical, iso, profs)
+        ok_can = canonical.check_canonicity(canonical.canonical_nested_set, iso, profs)
         lattice = iso.lattice_violation() is None
         ok_good = (
             canonical.check_canonicity(
-                build_good, iso, profs, require_lattice=True
+                canonical.good_nested_set, iso, profs, require_lattice=True
             )
             if lattice
             else None

@@ -63,7 +63,7 @@ class Universe:
     def code_orders(self, jcodes, mcodes):
         """(jorder, morder): dicts from the given join codes and meet
         codes (see lattice_codes) to the orders of their elements.
-        TablePoset reads every element's codes and order; bipartitions
+        TablePoset looks up the element whose row the code is; bipartitions
         and graph separations compute the order from the code instead."""
         raise NotImplementedError
 
@@ -120,9 +120,12 @@ class TablePoset(Universe):
     """Universe given by explicit tables; validates all laws at load time.
 
     leq_pairs may be any relation whose reflexive-transitive closure is the
-    intended partial order; it is closed here.  Meets and joins are
-    computed as glb/lub; a pair without one makes the input not a lattice
-    and is rejected.
+    intended partial order; it is closed here and kept as down and up rows
+    (bitsets), each kind with a dict from row to element.  The common lower
+    bounds of i and j have a greatest element iff they are some element's
+    down row, so i ^ j is the element whose down row is down[i] & down[j],
+    and i v j the one whose up row is up[i] & up[j].  A pair whose row is
+    no element's makes the input not a lattice and is rejected.
     """
 
     def __init__(self, n, involution, leq_pairs, order=None, names=None):
@@ -130,8 +133,13 @@ class TablePoset(Universe):
             raise InputError("table universe needs at least one element")
         self.n = n
         self._names = list(names) if names is not None else None
-        if self._names is not None and len(self._names) != n:
-            raise InputError("names list does not match element count")
+        if self._names is not None:
+            if len(self._names) != n:
+                raise InputError("names list does not match element count")
+            self._ids = {}
+            for i, name in enumerate(self._names):
+                if self._ids.setdefault(name, i) != i:
+                    raise InputError(f"element name {name!r} is repeated")
 
         inv = tuple(involution)
         if sorted(inv) != list(range(n)):
@@ -145,28 +153,34 @@ class TablePoset(Universe):
             if not (0 <= i < n and 0 <= j < n):
                 raise InputError(f"leq pair ({i},{j}) out of range")
             down[j] |= 1 << i
-        changed = True
-        while changed:
-            changed = False
+        for k in range(n):  # Warshall: close through k
+            bit, row = 1 << k, down[k]
             for j in range(n):
-                acc = down[j]
-                m = acc
-                while m:
-                    b = m & -m
-                    acc |= down[b.bit_length() - 1]
-                    m ^= b
-                if acc != down[j]:
-                    down[j] = acc
-                    changed = True
-        self._down = down
-        self._validate_poset()
+                if down[j] & bit:
+                    down[j] |= row
+        up = [bit_column(down, i) for i in range(n)]  # up[i]: j with i <= j
+        for i in range(n):
+            # the closure is reflexive and transitive: only antisymmetry can fail
+            both = down[i] & up[i] & ~(1 << i)
+            if both:
+                j = next(bit_positions(both))
+                raise InputError(f"leq not antisymmetric on ({i},{j})")
+        self._down, self._up = down, up
+        self._by_down = {row: i for i, row in enumerate(down)}
+        self._by_up = {row: i for i, row in enumerate(up)}
+        # a pair's first failure has i < j, since (j, i) fails alike
+        for rows, by_row, word in ((down, self._by_down, "meet"),
+                                   (up, self._by_up, "join")):
+            for i in range(n):
+                for j in range(i + 1, n):
+                    if rows[i] & rows[j] not in by_row:
+                        raise InputError(
+                            f"elements {i} and {j} have no {word}: not a lattice"
+                        )
 
-        self._meet = [[self._glb(i, j) for j in range(n)] for i in range(n)]
-        self._up = [bit_column(down, i) for i in range(n)]  # up[i]: j with i <= j
-        self._join = [[self._lub(i, j) for j in range(n)] for i in range(n)]
-
-        if order is not None:
-            self._order = tuple(_as_order(v) for v in order)
+        self.has_order = order is not None
+        self._order = tuple(map(_as_order, order)) if self.has_order else None
+        if self.has_order:
             if len(self._order) != n:
                 raise InputError("order table does not match element count")
             for i in range(n):
@@ -174,56 +188,16 @@ class TablePoset(Universe):
                     raise InputError(
                         f"order not invariant under involution at element {i}"
                     )
-            self.has_order = True
-        else:
-            self._order = None
 
-        self._validate_involution_and_demorgan()
-
-    # -- load-time law checks --
-
-    def _validate_poset(self):
-        # the closure is reflexive and transitive: only antisymmetry can fail
-        n, down = self.n, self._down
+        # i <= j must give j* <= i*: up[i] within the j whose j* lies in
+        # down[i*].  An order-reversing involution of a lattice maps joins
+        # to meets, so De Morgan needs no check of its own.
         for i in range(n):
-            for j in range(n):
-                if i != j and down[i] >> j & 1 and down[j] >> i & 1:
-                    raise InputError(f"leq not antisymmetric on ({i},{j})")
-
-    def _glb(self, i, j):
-        lower = self._down[i] & self._down[j]
-        m = lower
-        while m:
-            b = m & -m
-            g = b.bit_length() - 1
-            if lower & ~self._down[g] == 0:
-                return g
-            m ^= b
-        raise InputError(f"elements {i} and {j} have no meet: not a lattice")
-
-    def _lub(self, i, j):
-        upper = self._up[i] & self._up[j]
-        m = upper
-        while m:
-            b = m & -m
-            g = b.bit_length() - 1
-            if upper & ~self._up[g] == 0:
-                return g
-            m ^= b
-        raise InputError(f"elements {i} and {j} have no join: not a lattice")
-
-    def _validate_involution_and_demorgan(self):
-        inv = self._inv
-        for i in range(self.n):
-            for j in range(self.n):
-                if self.leq(i, j) and not self.leq(inv[j], inv[i]):
-                    raise InputError(
-                        f"involution not order-reversing on ({i},{j})"
-                    )
-        for i in range(self.n):
-            for j in range(self.n):
-                if inv[self._join[i][j]] != self._meet[inv[i]][inv[j]]:
-                    raise InputError(f"De Morgan identity fails on ({i},{j})")
+            flipped = sum(1 << inv[k] for k in bit_positions(down[inv[i]]))
+            bad = up[i] & ~flipped
+            if bad:
+                j = next(bit_positions(bad))
+                raise InputError(f"involution not order-reversing on ({i},{j})")
 
     # -- Universe API --
 
@@ -237,12 +211,12 @@ class TablePoset(Universe):
     def meet(self, x, y):
         self.check_element(x)
         self.check_element(y)
-        return self._meet[x][y]
+        return self._by_down[self._down[x] & self._down[y]]
 
     def join(self, x, y):
         self.check_element(x)
         self.check_element(y)
-        return self._join[x][y]
+        return self._by_up[self._up[x] & self._up[y]]
 
     def order(self, x):
         if self._order is None:
@@ -257,10 +231,9 @@ class TablePoset(Universe):
     def code_orders(self, jcodes, mcodes):
         if self._order is None:
             raise UnsupportedOperationError("table universe has no order function")
-        full = (1 << self.n) - 1
-        jo = {full ^ u: v for u, v in zip(self._up, self._order)}
-        mo = dict(zip(self._down, self._order))
-        return {c: jo[c] for c in jcodes}, {c: mo[c] for c in mcodes}
+        full, order = (1 << self.n) - 1, self._order
+        return ({c: order[self._by_up[full ^ c]] for c in jcodes},
+                {c: order[self._by_down[c]] for c in mcodes})
 
     def elements(self):
         return tuple(range(self.n))
@@ -276,8 +249,8 @@ class TablePoset(Universe):
         return self.format_element(x)
 
     def id_of(self, name):
-        if self._names is not None and name in self._names:
-            return self._names.index(name)
+        if self._names is not None and name in self._ids:
+            return self._ids[name]
         if isinstance(name, str) and name.startswith("e"):
             try:
                 return int(name[1:])

@@ -508,7 +508,9 @@ def verify_universe_laws(universe, elems=None):
     """Exhaustively assert poset, involution, lattice and De Morgan laws.
 
     Intended for tests and for validating rule-based backends at small
-    scale; TablePoset runs the same checks at load time.
+    scale.  TablePoset checks fewer laws at load time: its closure is
+    reflexive and transitive by construction, a meet or join exists iff
+    its row is some element's, and order reversal implies De Morgan.
     """
     U = universe
     if elems is None:

@@ -8,7 +8,9 @@ from pathlib import Path
 
 import pytest
 
+from tangletree import orient
 from tangletree.cli import build_parser, main
+from tangletree.errors import IntegrityError
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "tangletree"
 
@@ -189,6 +191,36 @@ def test_unknown_family_is_input_error(capsys, path4):
     assert code == 2
 
 
+@pytest.mark.parametrize(
+    "spec, message",
+    [("wavelets", "unknown family 'wavelets'"),
+     ("tk-star", "tk-star families need a graph input")],
+)
+def test_a_family_the_input_cannot_have_is_input_error(capsys, bip_file, spec, message):
+    code, out, err = run(capsys, "tangles", bip_file, "--family", spec)
+    assert (code, out, err) == (2, "", f"input error: {message}\n")
+
+
+def test_an_integrity_violation_exits_one(capsys, path4, monkeypatch):
+    def broken(*args):
+        raise IntegrityError("tangle fails its recheck")
+
+    monkeypatch.setattr(orient, "enumerate_tangles", broken)
+    code, out, err = run(capsys, "tangles", path4, "--k", "2")
+    assert (code, out, err) == (1, "", "integrity violation: tangle fails its recheck\n")
+
+
+def test_repeated_table_names_are_input_error(capsys, tmp_path):
+    f = tmp_path / "dup.json"
+    f.write_text(json.dumps({
+        "type": "table", "elements": ["a", "a", "b", "c"],
+        "involution": [3, 2, 1, 0], "leq_pairs": [[0, 1], [1, 2], [2, 3]],
+        "order": [0, 1, 1, 0],
+    }))
+    code, out, err = run(capsys, "tangles", str(f), "--family", "profiles", "--k", "2")
+    assert (code, out, err) == (2, "", "input error: element name 'a' is repeated\n")
+
+
 # -- tangles --
 
 
@@ -224,6 +256,17 @@ def test_duality_tree_branch(capsys, p3_file):
     payload = json.loads(out)
     assert payload["kind"] == "tree"
     assert payload["tree"]["vertices"] == 4
+
+
+def test_duality_text_tree(capsys, p3_file):
+    code, out, _ = run(capsys, "duality", p3_file, "--k", "3")
+    assert code == 0
+    assert out == (
+        "kind: tree\n"
+        "edge 0-1: ({},{a,b,c})\n"
+        "edge 1-2: ({a,b,c},{a,b})\n"
+        "edge 1-3: ({a,b,c},{b,c})\n"
+    )
 
 
 def test_duality_dot(capsys, p3_file):
@@ -326,6 +369,45 @@ def test_tree_of_tangles_dot_refuses_the_trace(capsys, path4):
     assert code == 2
     assert out == ""
     assert err == "input error: the trace has no dot output\n"
+
+
+@pytest.fixture
+def chain_file(tmp_path):
+    f = tmp_path / "chain.json"
+    f.write_text(json.dumps({
+        "type": "table", "elements": ["bot", "lo", "hi", "top"],
+        "involution": [3, 2, 1, 0], "leq_pairs": [[0, 1], [1, 2], [2, 3]],
+        "order": [0, 1, 1, 0],
+    }))
+    return str(f)
+
+
+def test_tree_of_tangles_dot_without_a_graph(capsys, chain_file):
+    # no graph, so no decomposition: the S-tree itself
+    code, out, _ = run(
+        capsys, "tree-of-tangles", chain_file, "--k", "2", "--format", "dot"
+    )
+    assert code == 0
+    assert out == (
+        "graph stree {\n"
+        '  n0 [label="0"];\n'
+        '  n1 [label="1"];\n'
+        '  n0 -- n1 [label="hi"];\n'
+        "}\n"
+    )
+
+
+def test_tree_of_tangles_text_trace(capsys, chain_file):
+    code, out, _ = run(capsys, "tree-of-tangles", chain_file, "--k", "2", "--trace")
+    assert code == 0
+    assert out == (
+        "tangles: 2\n"
+        "nested set:\n"
+        "  lo | hi\n"
+        "edge 0-1: hi\n"
+        "trace: {'rounds': [{'round': 1, 'system_size': 2, 'retired': 2, "
+        "'added': ['lo | hi']}]}\n"
+    )
 
 
 def test_bipartition_profiles(capsys, bip_file):

@@ -317,6 +317,8 @@ def test_table_degenerate_element_classified():
 def test_table_name_lookup():
     U = TablePoset(names=["bot", "lo", "hi", "top"], **CHAIN4)
     assert U.id_of("lo") == 1
+    # an unlisted e<i> still reads as the id i
+    assert [U.id_of(x) for x in ("bot", "hi", "top", "e2")] == [0, 2, 3, 2]
     assert U.name_of(2) == "hi"
     with pytest.raises(InputError):
         U.id_of("nope")
@@ -329,6 +331,8 @@ TABLE_REFUSALS = [
      "table universe needs at least one element"),
     (dict(n=2, involution=[1, 0], leq_pairs=[], names=["a"]),
      "names list does not match element count"),
+    (dict(names=["a", "a", "b", "c"], **CHAIN4),
+     "element name 'a' is repeated"),
     (dict(n=3, involution=[0, 0, 1], leq_pairs=[]),
      "involution is not a permutation of the elements"),
     (dict(n=3, involution=[1, 2, 0], leq_pairs=[]),
