@@ -370,8 +370,9 @@ def test_table_refusal_messages(table, message):
 
 
 def _random_table(rng):
-    """A random relation on at most 7 elements with an involution; half
-    of them made symmetric under it, so that many load."""
+    """A random relation on at most 7 elements with a permutation, most
+    often an involution; half of the relations are made symmetric under
+    it, so that many tables load."""
     n = rng.randint(1, 7)
     if rng.random() < 0.1:
         inv = list(range(n))
@@ -384,7 +385,7 @@ def _random_table(rng):
             a, b = free.pop(), free.pop()
             inv[a], inv[b] = b, a
     if rng.random() < 0.5:
-        # a random linear order, with bottom and top when n allows
+        # pairs that respect a random ranking: a poset unless made symmetric
         rank = list(range(n))
         rng.shuffle(rank)
         pairs = [(i, j) for i in range(n) for j in range(n)
@@ -392,7 +393,7 @@ def _random_table(rng):
     else:
         pairs = [(rng.randrange(n), rng.randrange(n))
                  for _ in range(rng.randint(0, 2 * n))]
-    if rng.random() < 0.5 and sorted(inv) == list(range(n)):
+    if rng.random() < 0.5:
         pairs += [(inv[j], inv[i]) for i, j in pairs]
     order = None
     if rng.random() < 0.5:
